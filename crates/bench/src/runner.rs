@@ -5,7 +5,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use scratch_core::{configure, trim_kernels, RunSummary, Scratch, TrimReport};
-use scratch_engine::Engine;
+use scratch_engine::PreemptiveEngine;
 use scratch_fpga::ParallelPlan;
 use scratch_kernels::{
     bitonic::BitonicSort,
@@ -114,7 +114,7 @@ where
     F: Fn(I) -> Result<T, BenchError> + Send + Sync + 'static,
 {
     let work = Arc::new(work);
-    let outcomes = Engine::new(jobs).run_batch(items.into_iter().map(|(label, item)| {
+    let outcomes = PreemptiveEngine::new(jobs).run_batch(items.into_iter().map(|(label, item)| {
         let work = Arc::clone(&work);
         // The job itself always "succeeds"; the leg's own `BenchError`
         // travels inside the payload so its structure survives the pool.

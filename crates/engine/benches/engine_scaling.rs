@@ -6,14 +6,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use scratch_engine::{Engine, JobError};
+use scratch_engine::{JobError, PreemptiveEngine};
 use scratch_kernels::{bitonic::BitonicSort, matmul::MatrixMul, Benchmark};
 use scratch_system::{SystemConfig, SystemKind};
 
 const BATCH: u64 = 8;
 
 fn run_batch<B: Benchmark + 'static>(workers: usize, make: fn() -> B) {
-    let outcomes = Engine::new(workers).run_batch((0..BATCH).map(|i| {
+    let outcomes = PreemptiveEngine::new(workers).run_batch((0..BATCH).map(|i| {
         (format!("job-{i}"), move || {
             make()
                 .run(SystemConfig::preset(SystemKind::DcdPm))

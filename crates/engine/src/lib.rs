@@ -7,12 +7,15 @@
 //!   shards run on worker threads against epoch-batched copy-on-write
 //!   memory views (`SystemConfig::with_workers`), committing in CU-index
 //!   order — cycle counts are bit-identical to the serial scheduler.
-//! * **Inter-run batching** lives here: an [`Engine`] worker pool consumes
-//!   a job queue of independent simulator runs ([`KernelJob`] or arbitrary
-//!   closures), isolates per-job panics into structured [`JobError`]s, and
-//!   streams [`JobOutcome`]s back as they complete. Batch results are
-//!   returned in submission order, so a sweep's output never depends on
-//!   scheduling.
+//! * **Inter-run scheduling** lives here, in one worker pool
+//!   ([`PreemptiveEngine`]). Jobs run in slices ([`Slice`]) under a
+//!   tenant, with round-robin between tenants and cancellation at slice
+//!   boundaries; a run-to-completion job is a job with a single slice.
+//!   The pool isolates per-job panics into structured [`JobError`]s and
+//!   streams [`JobOutcome`]s back as they complete.
+//!   [`PreemptiveEngine::run_batch`] (and [`run_kernel_jobs`] for
+//!   [`KernelJob`]s) returns a batch in submission order, so a sweep's
+//!   output never depends on scheduling.
 //!
 //! Both layers use only `std::thread` — no external runtime.
 //!
@@ -50,11 +53,11 @@
 
 mod job;
 mod preempt;
-mod queue;
 
-pub use job::{run_kernel_jobs, KernelJob};
+pub use job::{
+    run_kernel_jobs, JobError, JobOutcome, JobTiming, KernelJob, DEFAULT_WATCHDOG_CYCLES,
+};
 pub use preempt::{PreemptiveEngine, PreemptiveHandle, Slice};
-pub use queue::{Engine, EngineHandle, JobError, JobOutcome, JobTiming, DEFAULT_WATCHDOG_CYCLES};
 
 /// One worker per core the OS reports as available (the `--jobs` default
 /// of the CLI tools).

@@ -1,15 +1,16 @@
-//! The preemptive scheduling layer: jobs execute in *slices* (quanta) on a
-//! small worker pool, with per-tenant round-robin between slices and
+//! The worker pool: jobs execute in *slices* (quanta) on a small set of
+//! worker threads, with per-tenant round-robin between slices and
 //! best-effort cancellation at quantum boundaries.
 //!
-//! Where [`Engine`](crate::Engine) runs each job to completion on the
-//! worker that picked it, [`PreemptiveEngine`] hands a job's closure back
-//! to the scheduler after every slice: a long-running job cannot monopolise
-//! a worker, tenants share the pool fairly whatever their queue depths,
-//! and a cancelled job stops at its next quantum boundary instead of
-//! running to the end. The slice closure owns whatever state it needs to
-//! continue — the serving layer's jobs carry a serialized
-//! `scratch_system::SystemCheckpoint` between quanta.
+//! After every slice a job's closure goes back to the scheduler: a
+//! long-running job cannot monopolise a worker, tenants share the pool
+//! fairly whatever their queue depths, and a cancelled job stops at its
+//! next quantum boundary instead of running to the end. The slice closure
+//! owns whatever state it needs to continue — the serving layer's jobs
+//! carry a serialized `scratch_system::SystemCheckpoint` between quanta.
+//! A run-to-completion job is simply a job whose first slice is
+//! [`Slice::Done`]; [`PreemptiveEngine::run_batch`] submits closures that
+//! way under one tenant, where round-robin degenerates to FIFO.
 
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,10 +20,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use scratch_metrics::{Counter, Registry};
+use scratch_metrics::{Counter, Gauge, Histogram, Registry};
 
 use crate::default_workers;
-use crate::queue::{JobError, JobOutcome, JobTiming};
+use crate::job::{JobError, JobOutcome, JobTiming};
 
 /// What one execution slice of a preemptible job reports back.
 pub enum Slice<T> {
@@ -36,7 +37,7 @@ pub enum Slice<T> {
 type SliceFn<T> = Box<dyn FnMut(u64) -> Slice<T> + Send>;
 
 /// A preemptible job parked between slices.
-struct PJob<T> {
+struct Job<T> {
     id: u64,
     label: String,
     tenant: String,
@@ -52,8 +53,8 @@ struct PJob<T> {
 
 /// Scheduler state: one FIFO per tenant (in first-seen order) with a
 /// round-robin cursor between them.
-struct PSched<T> {
-    queues: Vec<(String, VecDeque<PJob<T>>)>,
+struct Sched<T> {
+    queues: Vec<(String, VecDeque<Job<T>>)>,
     rr: usize,
     /// Ids whose cancellation was requested but not yet delivered.
     cancelled: HashSet<u64>,
@@ -62,11 +63,11 @@ struct PSched<T> {
     shutdown: bool,
 }
 
-impl<T> PSched<T> {
+impl<T> Sched<T> {
     /// Pop the next runnable job, tenant round-robin: starting from the
     /// cursor, the first tenant with queued work gets one job picked, and
     /// the cursor moves past it.
-    fn pick(&mut self) -> Option<PJob<T>> {
+    fn pick(&mut self) -> Option<Job<T>> {
         let n = self.queues.len();
         for k in 0..n {
             let i = (self.rr + k) % n;
@@ -80,7 +81,7 @@ impl<T> PSched<T> {
 
     /// Queue a job at the back of its tenant's FIFO, creating the
     /// tenant's queue on first sight.
-    fn enqueue(&mut self, job: PJob<T>) {
+    fn enqueue(&mut self, job: Job<T>) {
         match self.queues.iter().position(|(t, _)| *t == job.tenant) {
             Some(i) => self.queues[i].1.push_back(job),
             None => {
@@ -95,16 +96,55 @@ impl<T> PSched<T> {
     }
 }
 
-/// Counters of the preemptive scheduler's metrics plane.
-struct PreemptMetrics {
+/// The pool's handles into its metrics registry: job-level counters,
+/// gauges and logical-clock histograms (`scratch_engine_*`) plus the
+/// slice-level scheduler counters (`scratch_preempt_*`).
+struct PoolMetrics {
+    submitted: Counter,
+    completed: Counter,
+    panicked: Counter,
+    watchdog: Counter,
+    queue_depth: Gauge,
+    busy_workers: Gauge,
+    wait_ticks: Histogram,
+    run_ticks: Histogram,
     quanta: Counter,
     preemptions: Counter,
     cancelled: Counter,
 }
 
-impl PreemptMetrics {
-    fn new(registry: &Registry) -> PreemptMetrics {
-        PreemptMetrics {
+impl PoolMetrics {
+    fn new(registry: &Registry) -> PoolMetrics {
+        PoolMetrics {
+            submitted: registry.counter("scratch_engine_jobs_submitted_total", "Jobs queued"),
+            completed: registry.counter(
+                "scratch_engine_jobs_completed_total",
+                "Jobs whose outcome was produced (including failures)",
+            ),
+            panicked: registry.counter(
+                "scratch_engine_jobs_panicked_total",
+                "Jobs that panicked and were isolated by the pool",
+            ),
+            watchdog: registry.counter(
+                "scratch_engine_watchdog_trips_total",
+                "Jobs stopped by the cycle-budget watchdog",
+            ),
+            queue_depth: registry.gauge(
+                "scratch_engine_queue_depth",
+                "Jobs waiting in the queue right now",
+            ),
+            busy_workers: registry.gauge(
+                "scratch_engine_busy_workers",
+                "Workers currently executing a job slice",
+            ),
+            wait_ticks: registry.histogram(
+                "scratch_engine_job_wait_ticks",
+                "Logical-clock ticks jobs sat queued before pickup",
+            ),
+            run_ticks: registry.histogram(
+                "scratch_engine_job_run_ticks",
+                "Logical-clock ticks between job pickup and completion",
+            ),
             quanta: registry.counter(
                 "scratch_preempt_quanta_total",
                 "Execution quanta (job slices) run by the preemptive pool",
@@ -121,8 +161,8 @@ impl PreemptMetrics {
     }
 }
 
-struct PShared<T> {
-    sched: Mutex<PSched<T>>,
+struct Shared<T> {
+    sched: Mutex<Sched<T>>,
     available: Condvar,
     /// Logical clock, ticking once per scheduler event (see
     /// [`JobTiming`]).
@@ -138,10 +178,10 @@ struct PShared<T> {
     completed: AtomicU64,
     /// Jobs currently executing a slice on some worker.
     in_flight: AtomicUsize,
-    metrics: Option<PreemptMetrics>,
+    metrics: PoolMetrics,
 }
 
-impl<T> PShared<T> {
+impl<T> Shared<T> {
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -162,9 +202,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `completed == submitted` implies every outcome was also routed (the
 /// drain invariant the serving layer waits on).
 fn finish<T>(
-    shared: &PShared<T>,
+    shared: &Shared<T>,
     results: &Sender<JobOutcome<T>>,
-    job: PJob<T>,
+    job: Job<T>,
     result: Result<T, JobError>,
 ) {
     let finished_tick = shared.tick();
@@ -173,11 +213,18 @@ fn finish<T>(
         st.cancelled.remove(&job.id);
         st.live.remove(&job.id);
     }
-    if let Some(m) = &shared.metrics {
-        if matches!(result, Err(JobError::Cancelled)) {
-            m.cancelled.inc();
-        }
+    let m = &shared.metrics;
+    m.completed.inc();
+    match &result {
+        Err(JobError::Panicked(_)) => m.panicked.inc(),
+        Err(JobError::Watchdog { .. }) => m.watchdog.inc(),
+        Err(JobError::Cancelled) => m.cancelled.inc(),
+        _ => {}
     }
+    let started = job.started.unwrap_or(finished_tick);
+    m.run_ticks.observe(finished_tick - started);
+    // A send failure means the handle (and its receiver) is gone —
+    // nobody wants the outcome anymore.
     let _ = results.send(JobOutcome {
         id: job.id,
         label: job.label,
@@ -185,14 +232,15 @@ fn finish<T>(
         wall: job.wall,
         timing: JobTiming {
             enqueued: job.enqueued,
-            started: job.started.unwrap_or(finished_tick),
+            started,
             finished: finished_tick,
         },
     });
     shared.completed.fetch_add(1, Ordering::Release);
 }
 
-fn preemptive_worker<T>(shared: &PShared<T>, results: &Sender<JobOutcome<T>>) {
+fn preemptive_worker<T>(shared: &Shared<T>, results: &Sender<JobOutcome<T>>) {
+    let m = &shared.metrics;
     loop {
         // Pick the next slice to run; `was_cancelled` covers jobs whose
         // cancellation arrived while they sat queued.
@@ -209,69 +257,69 @@ fn preemptive_worker<T>(shared: &PShared<T>, results: &Sender<JobOutcome<T>>) {
                 st = shared.available.wait(st).expect("preemptive sched lock");
             }
         };
+        m.queue_depth.dec();
         if was_cancelled {
             finish(shared, results, job, Err(JobError::Cancelled));
             continue;
         }
         if job.started.is_none() {
-            job.started = Some(shared.tick());
+            let tick = shared.tick();
+            m.wait_ticks.observe(tick - job.enqueued);
+            job.started = Some(tick);
         }
         shared.in_flight.fetch_add(1, Ordering::Release);
+        m.busy_workers.inc();
         let slice_start = Instant::now();
         let index = job.slices;
         let slice = catch_unwind(AssertUnwindSafe(|| (job.work)(index)));
         job.wall += slice_start.elapsed();
         job.slices += 1;
+        m.busy_workers.dec();
         shared.in_flight.fetch_sub(1, Ordering::Release);
-        if let Some(m) = &shared.metrics {
-            m.quanta.inc();
-        }
-        match slice {
-            Err(payload) => {
-                finish(
-                    shared,
-                    results,
-                    job,
-                    Err(JobError::Panicked(panic_message(payload))),
-                );
-            }
-            Ok(Slice::Done(result)) => finish(shared, results, job, result),
+        m.quanta.inc();
+        let result = match slice {
+            Err(payload) => Err(JobError::Panicked(panic_message(payload))),
+            Ok(Slice::Done(result)) => result,
             Ok(Slice::Yield) => {
-                if let Some(m) = &shared.metrics {
-                    m.preemptions.inc();
-                }
-                // Cancellation requested while the slice ran wins over
-                // requeueing: the job stops at this quantum boundary.
-                let cancelled = {
-                    let st = shared.sched.lock().expect("preemptive sched lock");
-                    st.cancelled.contains(&job.id)
-                };
-                if cancelled {
-                    finish(shared, results, job, Err(JobError::Cancelled));
+                m.preemptions.inc();
+                // One critical section decides the quantum boundary: a
+                // cancellation requested while the slice ran wins over
+                // requeueing, and the job stops here.
+                let mut st = shared.sched.lock().expect("preemptive sched lock");
+                if st.cancelled.contains(&job.id) {
+                    drop(st);
+                    Err(JobError::Cancelled)
                 } else {
-                    let mut st = shared.sched.lock().expect("preemptive sched lock");
+                    m.queue_depth.inc();
                     st.enqueue(job);
                     drop(st);
                     shared.available.notify_one();
+                    continue;
                 }
             }
-        }
+        };
+        finish(shared, results, job, result);
     }
 }
 
-/// Configuration of a preemptive worker pool (see the module docs).
+/// Configuration of the worker pool (see the module docs).
+///
+/// The pool provides *inter-run* parallelism — many independent simulator
+/// runs at once. (Intra-run parallelism over a single dispatch's CUs is
+/// the simulator's own `SystemConfig::with_workers` knob; both layers are
+/// deterministic, so composing them never changes results.)
 #[derive(Debug, Clone)]
 pub struct PreemptiveEngine {
     workers: usize,
-    metrics: bool,
     registry: Option<Registry>,
     first_id: u64,
 }
 
 impl PreemptiveEngine {
     /// An engine with `workers` pool threads; `0` means one per available
-    /// core. The metrics plane is on, publishing to the process-global
-    /// registry.
+    /// core ([`default_workers`]). It publishes to the process-global
+    /// registry unless [`with_registry`](Self::with_registry) says
+    /// otherwise.
     #[must_use]
     pub fn new(workers: usize) -> PreemptiveEngine {
         PreemptiveEngine {
@@ -280,7 +328,6 @@ impl PreemptiveEngine {
             } else {
                 workers
             },
-            metrics: true,
             registry: None,
             first_id: 0,
         }
@@ -290,14 +337,6 @@ impl PreemptiveEngine {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Builder-style switch for the scheduler's metrics (quantum,
-    /// preemption and cancellation counters). On by default.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: bool) -> PreemptiveEngine {
-        self.metrics = metrics;
-        self
     }
 
     /// Publish into `registry` instead of the process-global
@@ -321,15 +360,12 @@ impl PreemptiveEngine {
     /// Spin up the pool and return the submission handle.
     #[must_use]
     pub fn start<T: Send + 'static>(&self) -> PreemptiveHandle<T> {
-        let metrics = self.metrics.then(|| {
-            let registry = self
-                .registry
-                .clone()
-                .unwrap_or_else(|| scratch_metrics::global().clone());
-            PreemptMetrics::new(&registry)
-        });
-        let shared = Arc::new(PShared {
-            sched: Mutex::new(PSched {
+        let registry = self
+            .registry
+            .clone()
+            .unwrap_or_else(|| scratch_metrics::global().clone());
+        let shared = Arc::new(Shared {
+            sched: Mutex::new(Sched {
                 queues: Vec::new(),
                 rr: 0,
                 cancelled: HashSet::new(),
@@ -342,7 +378,7 @@ impl PreemptiveEngine {
             id_base: self.first_id,
             completed: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
-            metrics,
+            metrics: PoolMetrics::new(&registry),
         });
         let (tx, rx) = channel();
         let threads = (0..self.workers)
@@ -362,6 +398,27 @@ impl PreemptiveEngine {
             received: AtomicU64::new(0),
         }
     }
+
+    /// Run a batch of run-to-completion closures and return the outcomes
+    /// sorted by submission id — deterministic output order regardless of
+    /// which worker finished which job first. Every closure runs as one
+    /// [`Slice::Done`] slice under a single tenant, so the pool picks jobs
+    /// up in submission order.
+    pub fn run_batch<T, F, L>(&self, jobs: impl IntoIterator<Item = (L, F)>) -> Vec<JobOutcome<T>>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> Result<T, JobError> + Send + 'static,
+        L: Into<String>,
+    {
+        let handle = self.start();
+        for (label, work) in jobs {
+            let mut work = Some(work);
+            handle.submit("batch", label, move |_| {
+                Slice::Done(work.take().expect("a batch job runs exactly one slice")())
+            });
+        }
+        handle.join()
+    }
 }
 
 impl Default for PreemptiveEngine {
@@ -371,16 +428,20 @@ impl Default for PreemptiveEngine {
     }
 }
 
-/// A running preemptive pool: submit sliced jobs under a tenant, cancel
-/// them, stream their outcomes.
+/// A running pool: submit sliced jobs under a tenant, cancel them, stream
+/// their outcomes, join.
+///
+/// Submission takes `&self` and the handle is `Sync`, so many threads can
+/// push jobs into one shared pool concurrently (e.g. the serving layer's
+/// connection handlers); ids still come out strictly in submission order.
 ///
 /// Dropping the handle shuts the pool down gracefully: already-queued
-/// jobs still run (slice by slice) and the workers are joined. A job that
-/// yields forever would hang that shutdown — slice closures are expected
-/// to bound their own total work, as the serving layer's watchdog-limited
-/// checkpoint slices do.
+/// jobs still run (slice by slice), their outcomes are discarded, and the
+/// workers are joined. A job that yields forever would hang that shutdown
+/// — slice closures are expected to bound their own total work, as the
+/// serving layer's watchdog-limited checkpoint slices do.
 pub struct PreemptiveHandle<T> {
-    shared: Arc<PShared<T>>,
+    shared: Arc<Shared<T>>,
     threads: Vec<JoinHandle<()>>,
     results: Mutex<Receiver<JobOutcome<T>>>,
     received: AtomicU64,
@@ -414,10 +475,12 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
     {
         let id = self.shared.id_base + self.shared.submitted.fetch_add(1, Ordering::AcqRel);
         let enqueued = self.shared.tick();
+        self.shared.metrics.submitted.inc();
+        self.shared.metrics.queue_depth.inc();
         {
             let mut st = self.shared.sched.lock().expect("preemptive sched lock");
             st.live.insert(id);
-            st.enqueue(PJob {
+            st.enqueue(Job {
                 id,
                 label: label.into(),
                 tenant: tenant.into(),
@@ -568,7 +631,7 @@ mod tests {
         // One worker, two tenants. Both jobs idle-yield until released,
         // then log three real slices each: the scheduler must alternate
         // tenants strictly once both are queued.
-        let engine = PreemptiveEngine::new(1).with_metrics(false);
+        let engine = PreemptiveEngine::new(1).with_registry(Registry::new());
         let handle: PreemptiveHandle<Vec<&'static str>> = engine.start();
         let go = Arc::new(AtomicBool::new(false));
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
@@ -622,7 +685,7 @@ mod tests {
     #[test]
     fn first_id_offsets_minted_ids_without_breaking_counts() {
         let engine = PreemptiveEngine::new(1)
-            .with_metrics(false)
+            .with_registry(Registry::new())
             .with_first_id(1000);
         let mut handle: PreemptiveHandle<u64> = engine.start();
         let a = handle.submit("t", "a", |_| Slice::Done(Ok(1)));
@@ -640,7 +703,7 @@ mod tests {
 
     #[test]
     fn cancel_reaps_queued_and_running_jobs() {
-        let engine = PreemptiveEngine::new(1).with_metrics(false);
+        let engine = PreemptiveEngine::new(1).with_registry(Registry::new());
         let handle: PreemptiveHandle<u32> = engine.start();
         // A long job that yields at every quantum (bounded as a safety
         // net, far beyond what the test needs).
@@ -671,7 +734,7 @@ mod tests {
 
     #[test]
     fn completed_jobs_are_not_cancellable() {
-        let engine = PreemptiveEngine::new(1).with_metrics(false);
+        let engine = PreemptiveEngine::new(1).with_registry(Registry::new());
         let handle: PreemptiveHandle<u32> = engine.start();
         let id = handle.submit("t", "quick", |_| Slice::Done(Ok(1)));
         while handle.completed_count() == 0 {
@@ -711,7 +774,7 @@ mod tests {
 
     #[test]
     fn panicking_slice_is_isolated() {
-        let engine = PreemptiveEngine::new(2).with_metrics(false);
+        let engine = PreemptiveEngine::new(2).with_registry(Registry::new());
         let handle: PreemptiveHandle<u32> = engine.start();
         handle.submit("t", "bad", |i| {
             if i == 1 {

@@ -6,7 +6,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use scratch_engine::Engine;
+use scratch_engine::{PreemptiveEngine, Slice};
+use scratch_metrics::Registry;
 
 /// Submitting from eight threads at once: every submission id is unique,
 /// `join` returns outcomes sorted by id, and each outcome still carries
@@ -16,7 +17,9 @@ fn concurrent_submission_preserves_ordering() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 25;
 
-    let handle = Engine::new(4).with_metrics(false).start::<u64>();
+    let handle = PreemptiveEngine::new(4)
+        .with_registry(Registry::new())
+        .start::<u64>();
     let barrier = Barrier::new(THREADS as usize);
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -25,7 +28,9 @@ fn concurrent_submission_preserves_ordering() {
             s.spawn(move || {
                 barrier.wait();
                 for i in 0..PER_THREAD {
-                    let id = handle.submit(format!("t{t}-{i}"), move || Ok(t * 1000 + i));
+                    let id = handle.submit(format!("t{t}"), format!("t{t}-{i}"), move |_| {
+                        Slice::Done(Ok(t * 1000 + i))
+                    });
                     // The pool assigned a fresh id (strictly monotone ids
                     // mean no two threads ever share one).
                     assert!(id < THREADS * PER_THREAD);
@@ -60,7 +65,7 @@ fn concurrent_submission_preserves_ordering() {
 /// batch comes back in its own submission order.
 #[test]
 fn run_batch_ordering_holds_under_concurrent_submission() {
-    let engine = Engine::new(2).with_metrics(false);
+    let engine = PreemptiveEngine::new(2).with_registry(Registry::new());
     let noise = engine.start::<u64>();
     let stop = Arc::new(AtomicU64::new(0));
 
@@ -70,7 +75,7 @@ fn run_batch_ordering_holds_under_concurrent_submission() {
         s.spawn(move || {
             let mut i = 0u64;
             while stop2.load(Ordering::Acquire) == 0 {
-                noise_ref.submit(format!("noise-{i}"), move || Ok(i));
+                noise_ref.submit("noise", format!("noise-{i}"), move |_| Slice::Done(Ok(i)));
                 i += 1;
                 std::thread::yield_now();
             }
@@ -103,20 +108,22 @@ fn run_batch_ordering_holds_under_concurrent_submission() {
 /// and both drain back to zero once the gate opens.
 #[test]
 fn queue_depth_and_in_flight_track_the_backlog() {
-    let handle = Engine::new(1).with_metrics(false).start::<()>();
+    let handle = PreemptiveEngine::new(1)
+        .with_registry(Registry::new())
+        .start::<()>();
     let gate = Arc::new(Barrier::new(2));
 
     let g = Arc::clone(&gate);
-    handle.submit("wedged", move || {
+    handle.submit("t", "wedged", move |_| {
         g.wait(); // held until the test releases it
-        Ok(())
+        Slice::Done(Ok(()))
     });
     // Wait for the worker to pick the job up.
     while handle.in_flight() == 0 {
         std::thread::yield_now();
     }
     for i in 0..5 {
-        handle.submit(format!("queued-{i}"), || Ok(()));
+        handle.submit("t", format!("queued-{i}"), |_| Slice::Done(Ok(())));
     }
     assert_eq!(handle.queue_depth(), 5);
     assert_eq!(handle.in_flight(), 1);

@@ -1,10 +1,10 @@
-//! Engine queue semantics: panic isolation, deterministic batch ordering,
-//! and streaming outcomes.
+//! Pool queue semantics: panic isolation, deterministic batch ordering,
+//! streaming outcomes, and the metrics a batch publishes.
 
 use std::time::Duration;
 
 use scratch_asm::KernelBuilder;
-use scratch_engine::{default_workers, Engine, JobError, KernelJob};
+use scratch_engine::{default_workers, JobError, KernelJob, PreemptiveEngine, Slice};
 use scratch_metrics::Registry;
 use scratch_system::{SystemConfig, SystemError, SystemKind};
 
@@ -17,17 +17,19 @@ fn noop_kernel() -> scratch_asm::Kernel {
 
 #[test]
 fn a_panicking_job_never_kills_the_queue() {
-    let mut handle = Engine::new(2).start::<u32>();
+    let mut handle = PreemptiveEngine::new(2)
+        .with_registry(Registry::new())
+        .start::<u32>();
     for i in 0..5u32 {
-        handle.submit(format!("job-{i}"), move || {
+        handle.submit("t", format!("job-{i}"), move |_| {
             if i == 2 {
                 panic!("poisoned job {i}");
             }
-            Ok(i * 10)
+            Slice::Done(Ok(i * 10))
         });
     }
     // The queue survives the panic: jobs submitted afterwards still run.
-    handle.submit("after-the-panic", || Ok(999));
+    handle.submit("t", "after-the-panic", |_| Slice::Done(Ok(999)));
     let mut outcomes = Vec::new();
     while let Some(o) = handle.recv() {
         outcomes.push(o);
@@ -47,7 +49,7 @@ fn a_panicking_job_never_kills_the_queue() {
 fn batch_outcomes_come_back_in_submission_order() {
     // Reverse-staggered sleeps: completion order is the opposite of
     // submission order, yet run_batch returns submission order.
-    let outcomes = Engine::new(4).run_batch((0..4u64).map(|i| {
+    let outcomes = PreemptiveEngine::new(4).run_batch((0..4u64).map(|i| {
         (format!("sleep-{i}"), move || {
             std::thread::sleep(Duration::from_millis((4 - i) * 20));
             Ok(i)
@@ -64,11 +66,11 @@ fn batch_outcomes_come_back_in_submission_order() {
 
 #[test]
 fn outcomes_stream_as_jobs_complete() {
-    let mut handle = Engine::new(1).start::<&'static str>();
+    let mut handle = PreemptiveEngine::new(1).start::<&'static str>();
     assert_eq!(handle.pending(), 0);
     assert!(handle.recv().is_none(), "no jobs, no blocking");
-    handle.submit("first", || Ok("a"));
-    handle.submit("second", || Ok("b"));
+    handle.submit("t", "first", |_| Slice::Done(Ok("a")));
+    handle.submit("t", "second", |_| Slice::Done(Ok("b")));
     assert_eq!(handle.pending(), 2);
     // One worker runs the queue FIFO, so streaming order is deterministic
     // here: results arrive one at a time as each job finishes.
@@ -96,7 +98,7 @@ fn kernel_jobs_surface_system_errors_as_job_errors() {
 
 #[test]
 fn zero_workers_means_one_per_core() {
-    let engine = Engine::new(0);
+    let engine = PreemptiveEngine::new(0);
     assert_eq!(engine.workers(), default_workers());
     assert!(engine.workers() >= 1);
     // And the pool actually runs jobs.
@@ -109,7 +111,8 @@ fn job_timing_stamps_are_ordered_and_distinct() {
     // One worker, FIFO queue: every job's stamps are strictly ordered on
     // the pool's logical clock, and the second job is enqueued before the
     // first finishes (it waits in the queue).
-    let outcomes = Engine::new(1).run_batch((0..3u64).map(|i| (format!("t-{i}"), move || Ok(i))));
+    let outcomes =
+        PreemptiveEngine::new(1).run_batch((0..3u64).map(|i| (format!("t-{i}"), move || Ok(i))));
     for o in &outcomes {
         assert!(o.timing.enqueued < o.timing.started, "{:?}", o.timing);
         assert!(o.timing.started < o.timing.finished, "{:?}", o.timing);
@@ -128,7 +131,7 @@ fn job_timing_stamps_are_ordered_and_distinct() {
 #[test]
 fn pool_metrics_count_jobs_and_panics() {
     let registry = Registry::new();
-    let outcomes = Engine::new(2)
+    let outcomes = PreemptiveEngine::new(2)
         .with_registry(registry.clone())
         .run_batch((0..5u32).map(|i| {
             (format!("m-{i}"), move || {
@@ -162,23 +165,45 @@ fn pool_metrics_count_jobs_and_panics() {
 }
 
 #[test]
-fn metrics_off_registers_nothing() {
+fn a_batch_publishes_both_metric_families() {
+    // A batch job is a single-slice job: on a fresh registry, N jobs are
+    // N completions *and* N quanta, none of them preemptions, and the
+    // queue/busy gauges drain back to zero.
+    const N: u64 = 7;
     let registry = Registry::new();
-    let outcomes = Engine::new(1)
+    let outcomes = PreemptiveEngine::new(3)
         .with_registry(registry.clone())
-        .with_metrics(false)
-        .run_batch([("quiet", || Ok(1u8))]);
-    assert_eq!(outcomes[0].result, Ok(1));
-    assert_eq!(registry.snapshot().families.len(), 0);
+        .run_batch((0..N).map(|i| (format!("b-{i}"), move || Ok(i))));
+    assert_eq!(outcomes.len() as u64, N);
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter("scratch_engine_jobs_submitted_total", &[]),
+        Some(N)
+    );
+    assert_eq!(
+        snap.counter("scratch_engine_jobs_completed_total", &[]),
+        Some(N)
+    );
+    assert_eq!(snap.counter("scratch_preempt_quanta_total", &[]), Some(N));
+    assert_eq!(
+        snap.counter("scratch_preempt_preemptions_total", &[]),
+        Some(0)
+    );
+    assert_eq!(snap.gauge("scratch_engine_queue_depth", &[]), Some(0.0));
+    assert_eq!(snap.gauge("scratch_engine_busy_workers", &[]), Some(0.0));
+    let run = snap
+        .histogram("scratch_engine_job_run_ticks", &[])
+        .expect("run histogram registered");
+    assert_eq!(run.count(), N);
 }
 
 #[test]
 fn dropping_a_handle_with_queued_jobs_is_graceful() {
-    let handle = Engine::new(1).start::<u8>();
+    let handle = PreemptiveEngine::new(1).start::<u8>();
     for _ in 0..8 {
-        handle.submit("queued", || {
+        handle.submit("t", "queued", |_| {
             std::thread::sleep(Duration::from_millis(5));
-            Ok(1)
+            Slice::Done(Ok(1))
         });
     }
     drop(handle); // must not hang or panic; queued jobs drain or are dropped

@@ -1,10 +1,12 @@
 //! Regression: a kernel that never terminates must come back as
-//! [`JobError::Watchdog`] instead of hanging [`EngineHandle::join`]
+//! [`JobError::Watchdog`] instead of hanging
+//! [`PreemptiveHandle::join`](scratch_engine::PreemptiveHandle::join)
 //! forever.
 
 use scratch_asm::{Kernel, KernelBuilder};
-use scratch_engine::{Engine, JobError, KernelJob, DEFAULT_WATCHDOG_CYCLES};
+use scratch_engine::{JobError, KernelJob, PreemptiveEngine};
 use scratch_isa::Opcode;
+use scratch_metrics::Registry;
 use scratch_system::{SystemConfig, SystemKind};
 
 /// `spin: s_branch spin` — the minimal runaway kernel.
@@ -22,14 +24,26 @@ fn config() -> SystemConfig {
     SystemConfig::preset(SystemKind::DcdPm).with_metrics(false)
 }
 
+/// Submit each kernel job through the pool under a 50k-cycle budget.
+fn run_budgeted(
+    engine: &PreemptiveEngine,
+    jobs: Vec<KernelJob>,
+) -> Vec<scratch_engine::JobOutcome<scratch_system::RunReport>> {
+    engine.run_batch(
+        jobs.into_iter()
+            .map(|job| (job.label.clone(), move || job.run_with_budget(50_000))),
+    )
+}
+
 #[test]
 fn infinite_loop_trips_the_watchdog_instead_of_hanging_join() {
-    let engine = Engine::new(2).with_watchdog(50_000);
+    let registry = Registry::new();
+    let engine = PreemptiveEngine::new(2).with_registry(registry.clone());
     let jobs = vec![
         KernelJob::new("spin-0", infinite_loop_kernel(), config(), [1, 1, 1]),
         KernelJob::new("spin-1", infinite_loop_kernel(), config(), [1, 1, 1]),
     ];
-    let outcomes = engine.run_kernel_jobs(jobs);
+    let outcomes = run_budgeted(&engine, jobs);
     assert_eq!(outcomes.len(), 2);
     for o in outcomes {
         match o.result {
@@ -37,6 +51,13 @@ fn infinite_loop_trips_the_watchdog_instead_of_hanging_join() {
             other => panic!("{}: expected watchdog trip, got {other:?}", o.label),
         }
     }
+    // Both trips are counted by the pool's metrics plane.
+    assert_eq!(
+        registry
+            .snapshot()
+            .counter("scratch_engine_watchdog_trips_total", &[]),
+        Some(2)
+    );
 }
 
 #[test]
@@ -46,18 +67,12 @@ fn watchdog_budget_does_not_clip_well_behaved_jobs() {
     b.endpgm().unwrap();
     let kernel = b.finish().unwrap();
 
-    let engine = Engine::new(1).with_watchdog(50_000);
-    let outcomes =
-        engine.run_kernel_jobs(vec![KernelJob::new("quick", kernel, config(), [1, 1, 1])]);
+    let engine = PreemptiveEngine::new(1).with_registry(Registry::new());
+    let outcomes = run_budgeted(
+        &engine,
+        vec![KernelJob::new("quick", kernel, config(), [1, 1, 1])],
+    );
     assert!(outcomes[0].result.is_ok(), "{:?}", outcomes[0].result);
-}
-
-#[test]
-fn default_watchdog_is_the_cycle_limit_scale() {
-    // The default budget must stay at the simulator's own cycle-limit
-    // magnitude so it never masks CuError::CycleLimit semantics.
-    assert_eq!(Engine::new(1).watchdog(), DEFAULT_WATCHDOG_CYCLES);
-    assert_eq!(Engine::new(1).with_watchdog(0).watchdog(), 1);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use scratch_engine::Engine;
+use scratch_engine::PreemptiveEngine;
 use scratch_trace::TraceEvent;
 
 use crate::error::FaultError;
@@ -314,7 +314,7 @@ fn run_parallel(
         }
     }
 
-    let engine = Engine::new(jobs);
+    let engine = PreemptiveEngine::new(jobs);
     let batch = engine.run_batch(cells.into_iter().map(|(label, ctx, faults)| {
         (label, move || {
             Ok(faults

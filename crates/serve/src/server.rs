@@ -1186,11 +1186,11 @@ fn build_signature(req: &SubmitRequest, kind: SystemKind, sys: &System) -> Optio
 }
 
 /// Run one quantum of an admitted submission on the calling engine
-/// worker. The first slice builds the system and mirrors a direct
-/// `scratch-system` run exactly (same allocation order, same argument
-/// convention); later slices rebuild it from the carried checkpoint
-/// bytes. Checkpoint/restore is bit-identical, so sliced served results
-/// match offline execution.
+/// worker. The first slice builds the system ([`build_system`]); a
+/// fast-tier job runs whole there, a cycle-tier job pauses at each
+/// quantum boundary and later slices rebuild it from the carried
+/// checkpoint bytes. Checkpoint/restore is bit-identical, so sliced
+/// served results match offline execution.
 #[allow(clippy::too_many_arguments)]
 fn run_slice(
     req: &SubmitRequest,
@@ -1218,42 +1218,6 @@ fn run_slice(
         }
     };
     let exec = req.exec_mode().map_err(|e| e.to_string())?;
-    if exec != ExecMode::Cycle {
-        // Fast tiers have no cycle-accurate state to checkpoint
-        // (`SnapError::UnsupportedExecMode`), so jobs that don't need
-        // cycle counts run whole in a single slice with a plain dispatch
-        // instead of the preemptible quantum loop.
-        mark(SpanKind::Run);
-        let mut config = SystemConfig::preset(kind)
-            .with_registry(registry.clone())
-            .with_exec(exec)
-            .with_profile(profile);
-        config.cu.cycle_limit = config.cu.cycle_limit.min(watchdog.max(1));
-        let mut sys = System::new(config, &req.kernel).map_err(map_err)?;
-        sys.set_job_id(job);
-        let out = sys.alloc(req.out_bytes.max(4));
-        let mut args = vec![u32::try_from(out).unwrap_or(0)];
-        if !req.input.is_empty() {
-            let inp = sys.alloc_words(&req.input);
-            args.push(u32::try_from(inp).unwrap_or(0));
-        }
-        sys.set_args(&args);
-        *out_addr = out;
-        sys.dispatch(req.grid).map_err(map_err)?;
-        let report = sys.report();
-        let words = sys.read_words(
-            *out_addr,
-            usize::try_from(req.out_bytes.max(4) / 4).unwrap_or(0),
-        );
-        let signature = profile.then(|| build_signature(req, kind, &sys)).flatten();
-        mark(SpanKind::Reply);
-        return Ok(SliceStep::Finished {
-            cycles: report.cu_cycles,
-            instructions: report.instructions(),
-            words,
-            signature,
-        });
-    }
     let mut sys;
     let progress = match carried {
         Some(bytes) => {
@@ -1271,22 +1235,18 @@ fn run_slice(
         }
         None => {
             mark(SpanKind::Run);
-            let mut config = SystemConfig::preset(kind)
-                .with_registry(registry.clone())
-                .with_profile(profile);
-            config.cu.cycle_limit = config.cu.cycle_limit.min(watchdog.max(1));
-            sys = System::new(config, &req.kernel).map_err(map_err)?;
-            sys.set_job_id(job);
-            let out = sys.alloc(req.out_bytes.max(4));
-            let mut args = vec![u32::try_from(out).unwrap_or(0)];
-            if !req.input.is_empty() {
-                let inp = sys.alloc_words(&req.input);
-                args.push(u32::try_from(inp).unwrap_or(0));
+            (sys, *out_addr) =
+                build_system(req, kind, exec, registry, watchdog, profile, job).map_err(map_err)?;
+            if exec == ExecMode::Cycle {
+                sys.dispatch_preemptible(req.grid, quantum)
+                    .map_err(map_err)?
+            } else {
+                // Fast tiers have no cycle-accurate state to checkpoint
+                // (`SnapError::UnsupportedExecMode`), so jobs that don't
+                // need cycle counts run whole in this first slice.
+                let cycles = sys.dispatch(req.grid).map_err(map_err)?;
+                DispatchProgress::Complete { cycles }
             }
-            sys.set_args(&args);
-            *out_addr = out;
-            sys.dispatch_preemptible(req.grid, quantum)
-                .map_err(map_err)?
         }
     };
     match progress {
@@ -1318,6 +1278,37 @@ fn run_slice(
             })
         }
     }
+}
+
+/// Build a fresh system for a submission's first slice, mirroring a
+/// direct `scratch-system` run exactly: the preset with the watchdog's
+/// cycle cap, the output buffer allocated first (its base is argument 0),
+/// then the optional input words (argument 1). Returns the system and the
+/// output base address.
+fn build_system(
+    req: &SubmitRequest,
+    kind: SystemKind,
+    exec: ExecMode,
+    registry: &Registry,
+    watchdog: u64,
+    profile: bool,
+    job: u64,
+) -> Result<(System, u64), SystemError> {
+    let mut config = SystemConfig::preset(kind)
+        .with_registry(registry.clone())
+        .with_exec(exec)
+        .with_profile(profile);
+    config.cu.cycle_limit = config.cu.cycle_limit.min(watchdog.max(1));
+    let mut sys = System::new(config, &req.kernel)?;
+    sys.set_job_id(job);
+    let out = sys.alloc(req.out_bytes.max(4));
+    let mut args = vec![u32::try_from(out).unwrap_or(0)];
+    if !req.input.is_empty() {
+        let inp = sys.alloc_words(&req.input);
+        args.push(u32::try_from(inp).unwrap_or(0));
+    }
+    sys.set_args(&args);
+    Ok((sys, out))
 }
 
 /// The router loop: consume engine outcomes and answer/settle each one.

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use scratch_check::GenKernel;
-use scratch_metrics::Registry;
+use scratch_metrics::{MetricsServer, Registry};
 use scratch_serve::{fnv1a, RejectReason, ServeClient, ServeConfig, Server, SubmitRequest};
 use scratch_system::{System, SystemConfig, SystemKind};
 
@@ -172,9 +172,45 @@ fn served_results_bit_identical_to_direct_runs() {
         "per-tenant latency histogram populated"
     );
 
+    // The engine pool publishes into the daemon's registry too: a scrape
+    // counts exactly one engine completion per served job.
+    let body = scrape_metrics(&registry);
+    for family in [
+        "scratch_engine_jobs_completed_total",
+        "scratch_serve_completed_total",
+    ] {
+        assert!(
+            body.lines().any(|l| l == format!("{family} {n}")),
+            "{family} must equal {n} served completions:\n{body}"
+        );
+    }
+
     let stats = server.shutdown();
     assert_eq!(stats.accepted, stats.completed);
     assert_eq!(stats.failed, 0);
+}
+
+/// Serve `registry` on an ephemeral port and GET `/metrics` once over
+/// TCP, the way a Prometheus scraper would; returns the body.
+fn scrape_metrics(registry: &Registry) -> String {
+    use std::io::Read as _;
+    let server = MetricsServer::serve("127.0.0.1:0", registry.clone()).expect("bind scrape port");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect to scrape port");
+    write!(
+        stream,
+        "GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send scrape request");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("read scrape response");
+    server.shutdown();
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .expect("header/body separator");
+    assert!(head.contains(" 200 "), "{head}");
+    body.to_owned()
 }
 
 fn submitted_count(done: &std::collections::BTreeMap<u64, scratch_serve::JobDone>) -> u64 {

@@ -79,7 +79,7 @@ use std::process::ExitCode;
 use scratch::asm::{assemble, Kernel};
 use scratch::check::{fuzz, FuzzConfig, OracleKind};
 use scratch::core::Scratch;
-use scratch::engine::{Engine, JobError};
+use scratch::engine::{JobError, PreemptiveEngine};
 use scratch::fault::{
     build_contexts, cross_validate, run_plan, FaultClass, FaultPlan, KernelProfile,
     Mode as FaultMode,
@@ -163,7 +163,7 @@ fn metrics_summary(stats: &CuStats, config: &SystemConfig) -> String {
 /// counters (engine queue, system dispatch, CU aggregates) are populated
 /// in the process-global registry.
 fn metrics_warmup() -> Result<(), String> {
-    let outcomes = Engine::new(2).run_batch([false, true].into_iter().map(|fp| {
+    let outcomes = PreemptiveEngine::new(2).run_batch([false, true].into_iter().map(|fp| {
         let label = if fp { "warmup-fp" } else { "warmup-int" };
         (label, move || {
             MatrixAdd::new(16, fp)

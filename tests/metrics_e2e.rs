@@ -6,7 +6,7 @@
 //! campaign publishes its own counters.
 
 use scratch::check::{fuzz, FuzzConfig, OracleKind};
-use scratch::engine::Engine;
+use scratch::engine::PreemptiveEngine;
 use scratch::kernels::{vec_ops::MatrixAdd, Benchmark};
 use scratch::metrics::Registry;
 use scratch::system::{RunReport, SystemConfig, SystemKind};
@@ -69,7 +69,7 @@ fn registry_aggregates_agree_with_the_report() {
 #[test]
 fn engine_job_stamps_are_coherent_under_load() {
     let registry = Registry::new();
-    let outcomes = Engine::new(3)
+    let outcomes = PreemptiveEngine::new(3)
         .with_registry(registry.clone())
         .run_batch((0..8).map(|i| (format!("job-{i}"), move || Ok(i))));
     for o in &outcomes {

@@ -7,7 +7,7 @@
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 
-use scratch::engine::{Engine, JobError, PreemptiveEngine, Slice};
+use scratch::engine::{JobError, PreemptiveEngine, Slice};
 use scratch::kernels::{vec_ops::MatrixAdd, Benchmark};
 use scratch::metrics::{MetricsServer, Registry};
 use scratch::system::{SystemConfig, SystemKind};
@@ -36,20 +36,19 @@ fn scraping_after_a_dispatch_sees_every_layer() {
     // Dispatch two kernels through an engine batch so the engine queue,
     // the system dispatcher and the CU aggregates all publish.
     let reg = registry.clone();
-    let outcomes =
-        Engine::new(2)
-            .with_registry(registry.clone())
-            .run_batch([false, true].into_iter().map(move |fp| {
-                let reg = reg.clone();
-                let label = if fp { "fp" } else { "int" };
-                (label, move || {
-                    let config = SystemConfig::preset(SystemKind::DcdPm).with_registry(reg);
-                    MatrixAdd::new(16, fp)
-                        .run(config)
-                        .map(|_| ())
-                        .map_err(|e| JobError::Failed(e.to_string()))
-                })
-            }));
+    let outcomes = PreemptiveEngine::new(2)
+        .with_registry(registry.clone())
+        .run_batch([false, true].into_iter().map(move |fp| {
+            let reg = reg.clone();
+            let label = if fp { "fp" } else { "int" };
+            (label, move || {
+                let config = SystemConfig::preset(SystemKind::DcdPm).with_registry(reg);
+                MatrixAdd::new(16, fp)
+                    .run(config)
+                    .map(|_| ())
+                    .map_err(|e| JobError::Failed(e.to_string()))
+            })
+        }));
     assert_eq!(outcomes.len(), 2);
     for o in &outcomes {
         assert!(o.result.is_ok(), "{}: {:?}", o.label, o.result);
