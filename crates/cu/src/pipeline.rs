@@ -1,8 +1,6 @@
 //! The compute-unit timing model: fetch/decode/issue scheduling over the
 //! functional executor.
 
-use std::collections::HashMap;
-
 use scratch_asm::{Kernel, KernelMeta};
 use scratch_isa::{Fields, FuncUnit, Instruction, Opcode, Operand, WAVEFRONT_SIZE};
 use scratch_snap::{CuSnapshot, WaveSnapshot, WorkgroupSnapshot};
@@ -12,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use crate::fault::FaultHook;
 use crate::func::{execute, MemEvent};
 use crate::memory::Memory;
+use crate::stats::IssueCounters;
 use crate::wavefront::{WaveState, Wavefront};
 use crate::{CuConfig, CuError, CuStats};
 
@@ -79,16 +78,16 @@ fn push_group(keys: &mut Vec<RegKey>, base: RegKey, width: u8) {
     }
 }
 
-/// Source registers an instruction reads (for scoreboarding).
-fn source_keys(inst: &Instruction) -> Vec<RegKey> {
+/// Append the source registers an instruction reads (for scoreboarding)
+/// to `keys`.
+fn source_keys(inst: &Instruction, keys: &mut Vec<RegKey>) {
     let op = inst.opcode;
-    let mut keys = Vec::with_capacity(6);
     for src in inst.source_operands() {
         match src {
             Operand::Vgpr(r) => keys.push(RegKey::V(r)),
             other => {
                 if let Some(k) = scalar_key(other) {
-                    push_group(&mut keys, k, op.src_width());
+                    push_group(keys, k, op.src_width());
                 }
             }
         }
@@ -144,30 +143,29 @@ fn source_keys(inst: &Instruction) -> Vec<RegKey> {
         Fields::Vop2 { vdst, .. } if op == Opcode::VMacF32 => keys.push(RegKey::V(vdst)),
         // Buffer stores read the data register group.
         Fields::Mubuf { vdata, .. } | Fields::Mtbuf { vdata, .. } if op.is_store() => {
-            push_group(&mut keys, RegKey::V(vdata), op.dst_width());
+            push_group(keys, RegKey::V(vdata), op.dst_width());
         }
         // Buffer descriptors span four SGPRs.
         Fields::Mubuf { srsrc, .. } | Fields::Mtbuf { srsrc, .. } => {
-            push_group(&mut keys, RegKey::S(srsrc), 4);
+            push_group(keys, RegKey::S(srsrc), 4);
         }
         _ => {}
     }
-    keys
 }
 
-/// Destination registers an instruction writes (for scoreboarding).
-/// Memory-load destinations are deliberately excluded: SI software must
-/// order those with `s_waitcnt`, and the timing model charges them there.
-fn dest_keys(inst: &Instruction) -> Vec<RegKey> {
+/// Append the destination registers an instruction writes (for
+/// scoreboarding) to `keys`. Memory-load destinations are deliberately
+/// excluded: SI software must order those with `s_waitcnt`, and the
+/// timing model charges them there.
+fn dest_keys(inst: &Instruction, keys: &mut Vec<RegKey>) {
     let op = inst.opcode;
-    let mut keys = Vec::with_capacity(4);
     if op.is_memory() {
-        return keys;
+        return;
     }
     match inst.fields {
         Fields::Sop2 { sdst, .. } | Fields::Sopk { sdst, .. } | Fields::Sop1 { sdst, .. } => {
             if let Some(k) = scalar_key(sdst) {
-                push_group(&mut keys, k, op.dst_width());
+                push_group(keys, k, op.dst_width());
             }
         }
         Fields::Sopc { .. } | Fields::Sopp { .. } => {}
@@ -186,7 +184,7 @@ fn dest_keys(inst: &Instruction) -> Vec<RegKey> {
                 keys.push(RegKey::V(vdst));
             }
             if let Some(k) = scalar_key(sdst) {
-                push_group(&mut keys, k, 2);
+                push_group(keys, k, 2);
             }
         }
         _ => {}
@@ -206,7 +204,131 @@ fn dest_keys(inst: &Instruction) -> Vec<RegKey> {
     ) {
         keys.push(RegKey::Exec);
     }
-    keys
+}
+
+/// Everything the issue stage needs to know about one decoded
+/// instruction, derived once when the kernel is loaded.
+#[derive(Debug, Clone, Copy)]
+struct IssueEntry {
+    inst: Instruction,
+    unit: FuncUnit,
+    /// Issue class (MIAOW's per-class scoreboards): 0 scalar, 1 vector,
+    /// 2 LD/ST, 3 branch & message.
+    class: u8,
+    /// The architecture retains the opcode (always true untrimmed).
+    kept: bool,
+    /// `s_waitcnt` targets `(vmcnt, lgkmcnt)`.
+    waitcnt: Option<(u32, u32)>,
+    /// Cycles the unit instance stays busy.
+    occupancy: u64,
+    /// Cycles until the result reaches the scoreboard (at least 1).
+    latency: u64,
+    /// Instruction length, which is also the fetch/decode cost of the
+    /// instruction after it.
+    size_words: usize,
+    /// Active lanes count as work-item operations (vector ALU/memory).
+    per_lane: bool,
+    /// Registers read, as a range of [`IssueTable::keys`].
+    reads: (usize, usize),
+    /// Registers written, as a range of [`IssueTable::keys`].
+    writes: (usize, usize),
+}
+
+/// The loaded program as the issue stage sees it: one [`IssueEntry`] per
+/// instruction-start word, with every entry's scoreboard read and write
+/// sets stored in one flat key arena.
+#[derive(Debug)]
+struct IssueTable {
+    /// The binary the table was built from.
+    words: Vec<u32>,
+    entries: Vec<Option<IssueEntry>>,
+    keys: Vec<RegKey>,
+}
+
+impl IssueTable {
+    /// Decode `kernel` and derive each instruction's issue facts under
+    /// `config` (latencies, vector beats and the trim set are fixed for a
+    /// compute unit's lifetime).
+    fn build(config: &CuConfig, kernel: &Kernel) -> Result<IssueTable, CuError> {
+        let insts = Instruction::decode_all(kernel.words())?;
+        let mut table = IssueTable {
+            words: kernel.words().to_vec(),
+            entries: vec![None; kernel.words().len()],
+            // Room for a typical instruction's reads and writes.
+            keys: Vec::with_capacity(insts.len() * 6),
+        };
+        let beats = config.vector_beats();
+        for (pos, inst) in insts {
+            let op = inst.opcode;
+            let unit = op.unit();
+            let latency = config.latencies.of(op);
+            let waitcnt = match inst.fields {
+                Fields::Sopp { simm16 } if op == Opcode::SWaitcnt => {
+                    Some((u32::from(simm16 & 0xf), u32::from((simm16 >> 8) & 0x1f)))
+                }
+                _ => None,
+            };
+            // SIMD datapaths are pipelined (one beat per cycle); the SIMF
+            // maps to iterative FP cores on the FPGA, so a floating-point
+            // instruction occupies its unit for the full operation latency
+            // — which is why replicating SIMF units pays off so well in the
+            // paper's multi-thread experiments (Fig. 7B).
+            let occupancy = match unit {
+                FuncUnit::Simd => beats,
+                FuncUnit::Simf => beats + latency,
+                _ => 1,
+            };
+            let vector_tail = if op.is_vector_alu() { beats - 1 } else { 0 };
+            let reads = table.push_keys(|keys| source_keys(&inst, keys));
+            let writes = table.push_keys(|keys| dest_keys(&inst, keys));
+            table.entries[pos] = Some(IssueEntry {
+                inst,
+                unit,
+                class: match unit {
+                    FuncUnit::Salu => 0,
+                    FuncUnit::Simd | FuncUnit::Simf => 1,
+                    FuncUnit::Lsu => 2,
+                    FuncUnit::Branch => 3,
+                },
+                kept: config.trim.as_ref().is_none_or(|trim| trim.contains(op)),
+                waitcnt,
+                occupancy,
+                latency: (latency + vector_tail).max(1),
+                size_words: inst.size_words(),
+                per_lane: op.is_vector_alu() || op.is_vector_memory(),
+                reads,
+                writes,
+            });
+        }
+        Ok(table)
+    }
+
+    /// Append the keys `push` produces to the arena and return their
+    /// range.
+    fn push_keys(&mut self, push: impl FnOnce(&mut Vec<RegKey>)) -> (usize, usize) {
+        let start = self.keys.len();
+        push(&mut self.keys);
+        (start, self.keys.len())
+    }
+
+    /// The keys of an entry's read or write range.
+    fn keys(&self, (start, end): (usize, usize)) -> &[RegKey] {
+        &self.keys[start..end]
+    }
+}
+
+/// One wave's in-flight register writes: `(register, cycle the result
+/// lands)`, each register at most once. A handful of entries at a time,
+/// so a linear scan beats hashing.
+type Pending = Vec<(RegKey, u64)>;
+
+/// Record a pending write of `key` landing at `t`, replacing any earlier
+/// one for the same register.
+fn set_pending(pending: &mut Pending, key: RegKey, t: u64) {
+    match pending.iter_mut().find(|(k, _)| *k == key) {
+        Some(slot) => slot.1 = t,
+        None => pending.push((key, t)),
+    }
 }
 
 /// Initial state for one wavefront, as the ultra-threaded dispatcher would
@@ -330,10 +452,13 @@ impl CuTrace {
 pub struct ComputeUnit {
     config: CuConfig,
     meta: KernelMeta,
-    /// Word-indexed decoded program.
-    program: Vec<Option<Instruction>>,
+    /// Word-indexed decoded program with its issue facts.
+    table: IssueTable,
     waves: Vec<Wavefront>,
-    pending: Vec<HashMap<RegKey, u64>>,
+    /// Per-wave scoreboard of in-flight register writes.
+    pending: Vec<Pending>,
+    /// Waves not yet retired; recounted whenever a run starts or resumes.
+    live: usize,
     workgroups: Vec<Workgroup>,
     fus: FuPool,
     rr: usize,
@@ -343,16 +468,17 @@ pub struct ComputeUnit {
     /// limit spans the whole run, and clears when the run completes.
     run_start: Option<u64>,
     stats: CuStats,
+    /// Issue and busy counts not yet folded into `stats` (folded on every
+    /// return from [`ComputeUnit::run_until`]).
+    counters: IssueCounters,
     /// Tracing state; `None` keeps the scheduler on its untraced fast path.
     trace: Option<Box<CuTrace>>,
-    /// Waves that issued this scheduling decision (the arbiter starts at
-    /// most one instruction per issue class per cycle, hence 4 slots).
-    /// Maintained only when `config.metrics` is on.
-    issued_now: [usize; 4],
-    issued_count: u8,
     /// Always-on stall aggregation, indexed by `StallReason as usize`;
+    /// charged lazily per wave (see [`Wavefront::charge_stalls`]) and
     /// folded into [`CuStats::stall_cycles`] when a batch completes.
     stall_acc: [u64; StallReason::ALL.len()],
+    /// Working space for `s_waitcnt` evaluation.
+    wait_scratch: Vec<u64>,
     /// Fault-injection state; `None` keeps the issue loop on its
     /// uninstrumented fast path (zero overhead when off).
     fault: Option<Box<FaultState>>,
@@ -377,11 +503,7 @@ impl ComputeUnit {
     ///
     /// Fails if the kernel binary does not decode.
     pub fn new(config: CuConfig, kernel: &Kernel) -> Result<ComputeUnit, CuError> {
-        let insts = scratch_isa::Instruction::decode_all(kernel.words())?;
-        let mut program = vec![None; kernel.words().len()];
-        for (pos, inst) in insts {
-            program[pos] = Some(inst);
-        }
+        let table = IssueTable::build(&config, kernel)?;
         Ok(ComputeUnit {
             fus: FuPool {
                 salu_busy: 0,
@@ -391,18 +513,19 @@ impl ComputeUnit {
             },
             config,
             meta: *kernel.meta(),
-            program,
+            table,
             waves: Vec::new(),
             pending: Vec::new(),
+            live: 0,
             workgroups: Vec::new(),
             rr: 0,
             now: 0,
             run_start: None,
             stats: CuStats::default(),
+            counters: IssueCounters::default(),
             trace: None,
-            issued_now: [0; 4],
-            issued_count: 0,
             stall_acc: [0; StallReason::ALL.len()],
+            wait_scratch: Vec::new(),
             fault: None,
             pc_counts: Vec::new(),
         })
@@ -537,7 +660,7 @@ impl ComputeUnit {
         }
         self.workgroups[init.workgroup].waves.push(idx);
         self.waves.push(wave);
-        self.pending.push(HashMap::new());
+        self.pending.push(Pending::new());
         Ok(idx)
     }
 
@@ -559,12 +682,11 @@ impl ComputeUnit {
     ///
     /// Fails if the kernel binary does not decode.
     pub fn load_kernel(&mut self, kernel: &Kernel) -> Result<(), CuError> {
-        let insts = scratch_isa::Instruction::decode_all(kernel.words())?;
-        let mut program = vec![None; kernel.words().len()];
-        for (pos, inst) in insts {
-            program[pos] = Some(inst);
+        // The table depends only on the binary and the fixed configuration,
+        // so reloading the same kernel (every dispatch does) keeps it.
+        if self.table.words != kernel.words() {
+            self.table = IssueTable::build(&self.config, kernel)?;
         }
-        self.program = program;
         self.meta = *kernel.meta();
         self.pc_counts.clear();
         self.clear_waves();
@@ -631,28 +753,25 @@ impl ComputeUnit {
                 }
             }
         }
-        while self.waves.iter().any(|w| w.state != WaveState::Done) {
-            if self.now - start > self.config.cycle_limit {
-                return Err(CuError::CycleLimit {
-                    limit: self.config.cycle_limit,
-                });
+        for w in &mut self.waves {
+            w.acct = entry;
+        }
+        self.live = self
+            .waves
+            .iter()
+            .filter(|w| w.state != WaveState::Done)
+            .count();
+        let paused = self.run_decisions(mem, start, deadline);
+        // Settle the lazily kept accounts on every way out, so statistics
+        // and snapshots read exactly as if they were kept per decision.
+        if self.config.metrics {
+            for w in &mut self.waves {
+                w.charge_stalls(&mut self.stall_acc, self.now);
             }
-            if self.now >= deadline {
-                return Ok(RunStatus::Paused);
-            }
-            let t0 = self.now;
-            let t1 = if self.try_issue(mem)? {
-                t0 + 1
-            } else {
-                self.next_event().ok_or(CuError::Deadlock { cycle: t0 })?
-            };
-            if self.trace.is_some() {
-                self.attribute_interval(t0, t1);
-            }
-            if self.config.metrics {
-                self.account_stalls(t0, t1);
-            }
-            self.now = t1;
+        }
+        self.counters.fold_into(&mut self.stats);
+        if paused? {
+            return Ok(RunStatus::Paused);
         }
         if let Some(tr) = &mut self.trace {
             for wi in 0..self.waves.len() {
@@ -671,31 +790,36 @@ impl ComputeUnit {
         Ok(RunStatus::Done(self.now - start))
     }
 
-    /// The always-on counterpart of [`ComputeUnit::attribute_interval`]:
-    /// charge the decision interval `[t0, t1)` to a fixed per-reason
-    /// accumulator instead of per-wave timelines. Same reason priority,
-    /// no allocation, no event assembly — cheap enough to stay enabled
-    /// (`CuConfig::metrics`). Early-retired waves' idle slot cycles count
-    /// as [`StallReason::WavepoolEmpty`], matching the attribution
-    /// engine's batch-end accounting.
-    fn account_stalls(&mut self, t0: u64, t1: u64) {
-        let dt = t1 - t0;
-        let issued = &self.issued_now[..usize::from(self.issued_count)];
-        for (wi, w) in self.waves.iter().enumerate() {
-            if issued.contains(&wi) {
-                continue; // the issue cycle is not a stall
+    /// The scheduling loop of [`ComputeUnit::run_until`]: one decision
+    /// per iteration until every wave retires (`false`) or the budget
+    /// runs out (`true`).
+    fn run_decisions(
+        &mut self,
+        mem: &mut dyn Memory,
+        start: u64,
+        deadline: u64,
+    ) -> Result<bool, CuError> {
+        while self.live > 0 {
+            if self.now - start > self.config.cycle_limit {
+                return Err(CuError::CycleLimit {
+                    limit: self.config.cycle_limit,
+                });
             }
-            let reason = if w.state == WaveState::Done {
-                StallReason::WavepoolEmpty
-            } else if w.state == WaveState::AtBarrier {
-                StallReason::Barrier
-            } else if w.next_ready > t0 {
-                w.wait_reason
+            if self.now >= deadline {
+                return Ok(true);
+            }
+            let t0 = self.now;
+            let t1 = if self.try_issue(mem)? {
+                t0 + 1
             } else {
-                StallReason::StructuralFu
+                self.next_event().ok_or(CuError::Deadlock { cycle: t0 })?
             };
-            self.stall_acc[reason as usize] += dt;
+            if self.trace.is_some() {
+                self.attribute_interval(t0, t1);
+            }
+            self.now = t1;
         }
+        Ok(false)
     }
 
     /// Charge the decision interval `[t0, t1)` to every live wavefront:
@@ -739,13 +863,6 @@ impl ComputeUnit {
         self.trace = Some(tr);
     }
 
-    fn inst_at(&self, pc: usize) -> Result<&Instruction, CuError> {
-        self.program
-            .get(pc)
-            .and_then(|slot| slot.as_ref())
-            .ok_or(CuError::PcOutOfRange { pc })
-    }
-
     /// Attempt to issue instructions this cycle. MIAOW's issue stage keeps
     /// one scoreboard per instruction class (branch & message, scalar,
     /// vector, LD/ST — Fig. 2) and its arbiter can start one instruction
@@ -756,10 +873,10 @@ impl ComputeUnit {
         let mut issued_any = false;
         let n = self.waves.len();
         let rr_start = self.rr;
+        let metrics = self.config.metrics;
         if let Some(tr) = &mut self.trace {
             tr.issued_now.clear();
         }
-        self.issued_count = 0;
         // Structured events are only worth assembling with a sink attached.
         let emit = self.trace.as_ref().is_some_and(|tr| tr.sink.is_some());
         for i in 0..n {
@@ -771,28 +888,26 @@ impl ComputeUnit {
                 continue;
             }
             let pc = self.waves[wi].pc;
-            let inst = *self.inst_at(pc)?;
-            let op = inst.opcode;
+            let e = *self
+                .table
+                .entries
+                .get(pc)
+                .and_then(Option::as_ref)
+                .ok_or(CuError::PcOutOfRange { pc })?;
+            let op = e.inst.opcode;
+            let unit = e.unit;
 
             // One instruction per issue class per cycle.
-            let class = match op.unit() {
-                FuncUnit::Salu => 0,
-                FuncUnit::Simd | FuncUnit::Simf => 1,
-                FuncUnit::Lsu => 2,
-                FuncUnit::Branch => 3,
-            };
+            let class = usize::from(e.class);
             if class_used[class] {
                 continue;
             }
 
             // Trimmed-architecture enforcement (hard errors: the hardware
             // for this instruction does not exist).
-            if let Some(trim) = &self.config.trim {
-                if !trim.contains(op) {
-                    return Err(CuError::Trimmed { opcode: op });
-                }
+            if !e.kept {
+                return Err(CuError::Trimmed { opcode: op });
             }
-            let unit = op.unit();
             match unit {
                 FuncUnit::Simd if self.config.int_valus == 0 => {
                     return Err(CuError::MissingUnit { unit, opcode: op })
@@ -804,45 +919,51 @@ impl ComputeUnit {
             }
 
             // s_waitcnt blocks at issue until the counters drain.
-            if op == Opcode::SWaitcnt {
-                let Fields::Sopp { simm16 } = inst.fields else {
-                    unreachable!()
-                };
-                let vm_target = u32::from(simm16 & 0xf);
-                let lgkm_target = u32::from((simm16 >> 8) & 0x1f);
-                let ready = self.waves[wi].waitcnt_ready_at(vm_target, lgkm_target);
+            if let Some((vm_target, lgkm_target)) = e.waitcnt {
+                let wave = &mut self.waves[wi];
+                let scratch = &mut self.wait_scratch;
+                let ready = wave.waitcnt_ready_at(vm_target, lgkm_target, scratch);
                 if ready > self.now {
-                    if self.trace.is_some() || self.config.metrics {
+                    if metrics {
+                        wave.charge_stalls(&mut self.stall_acc, self.now);
+                    }
+                    if self.trace.is_some() || metrics {
                         // Which counter gates the wait? Query each alone
                         // (the other target relaxed to "any") and blame
                         // the one that matches the combined ready time.
-                        let vm_ready = self.waves[wi].waitcnt_ready_at(vm_target, u32::MAX);
-                        self.waves[wi].wait_reason = if vm_ready >= ready {
+                        let vm_ready = wave.waitcnt_ready_at(vm_target, u32::MAX, scratch);
+                        wave.wait_reason = if vm_ready >= ready {
                             StallReason::WaitcntVm
                         } else {
                             StallReason::WaitcntLgkm
                         };
                     }
-                    self.waves[wi].next_ready = ready;
+                    wave.next_ready = ready;
                     continue;
                 }
             }
 
             // Scoreboard: stall on pending writes to our sources.
-            let mut dep_ready = 0u64;
-            for key in source_keys(&inst) {
-                if let Some(&t) = self.pending[wi].get(&key) {
-                    dep_ready = dep_ready.max(t);
+            let pending = &self.pending[wi];
+            if !pending.is_empty() {
+                let mut dep_ready = 0u64;
+                for key in self.table.keys(e.reads) {
+                    if let Some(&(_, t)) = pending.iter().find(|(k, _)| k == key) {
+                        dep_ready = dep_ready.max(t);
+                    }
                 }
-            }
-            if dep_ready > self.now {
-                self.waves[wi].next_ready = dep_ready;
-                self.waves[wi].wait_reason = StallReason::ScoreboardRaw;
-                continue;
+                if dep_ready > self.now {
+                    let wave = &mut self.waves[wi];
+                    if metrics {
+                        wave.charge_stalls(&mut self.stall_acc, self.now);
+                    }
+                    wave.next_ready = dep_ready;
+                    wave.wait_reason = StallReason::ScoreboardRaw;
+                    continue;
+                }
             }
 
             // Structural hazard: need a free unit instance.
-            let is_vector = op.is_vector_alu();
             let slot: Option<usize> = match unit {
                 FuncUnit::Salu => (self.fus.salu_busy <= self.now).then_some(0),
                 FuncUnit::Lsu => (self.fus.lsu_busy <= self.now).then_some(0),
@@ -859,21 +980,14 @@ impl ComputeUnit {
             if let Some(tr) = &mut self.trace {
                 tr.issued_now.push(wi);
             }
-            if self.config.metrics {
-                self.issued_now[usize::from(self.issued_count)] = wi;
-                self.issued_count += 1;
+            if metrics {
+                // Close the wave's account before its state moves; the
+                // issue cycle itself is not a stall.
+                let wave = &mut self.waves[wi];
+                wave.charge_stalls(&mut self.stall_acc, self.now);
+                wave.acct = self.now + 1;
             }
-            let beats = self.config.vector_beats();
-            // SIMD datapaths are pipelined (one beat per cycle); the SIMF
-            // maps to iterative FP cores on the FPGA, so a floating-point
-            // instruction occupies its unit for the full operation latency
-            // — which is why replicating SIMF units pays off so well in the
-            // paper's multi-thread experiments (Fig. 7B).
-            let occupancy = match unit {
-                FuncUnit::Simd => beats,
-                FuncUnit::Simf => beats + self.config.latencies.of(op),
-                _ => 1,
-            };
+            let occupancy = e.occupancy;
             match unit {
                 FuncUnit::Salu => self.fus.salu_busy = self.now + 1,
                 FuncUnit::Lsu => self.fus.lsu_busy = self.now + 1,
@@ -881,15 +995,22 @@ impl ComputeUnit {
                 FuncUnit::Simd => self.fus.simd_busy[slot] = self.now + occupancy,
                 FuncUnit::Simf => self.fus.simf_busy[slot] = self.now + occupancy,
             }
-            self.stats.record_busy(unit, occupancy);
+            self.counters.record_busy(unit, occupancy);
 
-            let next_pc = pc + inst.size_words();
+            let next_pc = pc + e.size_words;
             let lds_ptr = self.waves[wi].workgroup;
             let wave = &mut self.waves[wi];
             let lanes = wave.active_lanes();
-            let outcome = execute(&inst, next_pc, wave, &mut self.workgroups[lds_ptr].lds, mem)?;
+            let outcome = execute(
+                &e.inst,
+                next_pc,
+                wave,
+                &mut self.workgroups[lds_ptr].lds,
+                mem,
+            )?;
             wave.retired += 1;
-            self.stats.record_issue(op, lanes);
+            self.counters
+                .record_issue(op, if e.per_lane { u64::from(lanes) } else { 1 });
             if self.config.profile {
                 if self.pc_counts.len() <= pc {
                     self.pc_counts.resize(pc + 1, 0);
@@ -898,16 +1019,17 @@ impl ComputeUnit {
             }
 
             // Result latency for the scoreboard.
-            let latency = self.config.latencies.of(op) + if is_vector { beats - 1 } else { 0 };
-            let done_at = self.now + latency.max(1);
-            self.pending[wi].retain(|_, &mut t| t > self.now);
-            for key in dest_keys(&inst) {
-                self.pending[wi].insert(key, done_at);
+            let done_at = self.now + e.latency;
+            let now = self.now;
+            let pending = &mut self.pending[wi];
+            pending.retain(|&(_, t)| t > now);
+            for &key in self.table.keys(e.writes) {
+                set_pending(pending, key, done_at);
             }
 
             // Fetch/decode cost for the following instruction.
-            let decode = inst.size_words() as u64;
-            self.waves[wi].next_ready = self.now + decode.max(1);
+            let decode = (e.size_words as u64).max(1);
+            self.waves[wi].next_ready = self.now + decode;
             self.waves[wi].wait_reason = StallReason::FetchStarve;
 
             // Memory events feed the waitcnt counters.
@@ -974,7 +1096,7 @@ impl ComputeUnit {
                         wave,
                         pc,
                         now,
-                        cycles: decode.max(1),
+                        cycles: decode,
                     });
                     tr.emit(&TraceEvent::Issue {
                         cu,
@@ -1023,6 +1145,7 @@ impl ComputeUnit {
             // Control flow.
             if outcome.end {
                 self.waves[wi].state = WaveState::Done;
+                self.live -= 1;
                 self.stats.wavefronts_retired += 1;
                 if emit {
                     let instructions = self.waves[wi].retired;
@@ -1061,12 +1184,16 @@ impl ComputeUnit {
                 if self.workgroups[wg].arrived == self.workgroups[wg].waves.len() {
                     self.workgroups[wg].arrived = 0;
                     let release = self.now + 1;
-                    for &widx in &self.workgroups[wg].waves.clone() {
-                        if self.waves[widx].state == WaveState::AtBarrier {
-                            self.waves[widx].state = WaveState::Ready;
-                            if release > self.waves[widx].next_ready {
-                                self.waves[widx].next_ready = release;
-                                self.waves[widx].wait_reason = StallReason::Barrier;
+                    for &widx in &self.workgroups[wg].waves {
+                        let wave = &mut self.waves[widx];
+                        if wave.state == WaveState::AtBarrier {
+                            if metrics {
+                                wave.charge_stalls(&mut self.stall_acc, self.now);
+                            }
+                            wave.state = WaveState::Ready;
+                            if release > wave.next_ready {
+                                wave.next_ready = release;
+                                wave.wait_reason = StallReason::Barrier;
                             }
                         }
                     }
@@ -1104,7 +1231,7 @@ impl ComputeUnit {
             for &t in &w.lgkm_events {
                 consider(t);
             }
-            for &t in self.pending[wi].values() {
+            for &(_, t) in &self.pending[wi] {
                 consider(t);
             }
         }
@@ -1132,7 +1259,7 @@ impl ComputeUnit {
             .zip(&self.pending)
             .map(|(w, pend)| {
                 let mut pending: Vec<(u32, u64)> =
-                    pend.iter().map(|(&k, &t)| (k.code(), t)).collect();
+                    pend.iter().map(|&(k, t)| (k.code(), t)).collect();
                 pending.sort_unstable();
                 WaveSnapshot {
                     id: w.id as u64,
@@ -1270,10 +1397,10 @@ impl ComputeUnit {
                 _ => return Err(bad("unknown wave state")),
             };
             w.retired = ws.retired;
-            let mut pending = HashMap::with_capacity(ws.pending.len());
+            let mut pending = Pending::with_capacity(ws.pending.len());
             for &(code, t) in &ws.pending {
                 let key = RegKey::from_code(code).ok_or_else(|| bad("unknown register key"))?;
-                pending.insert(key, t);
+                set_pending(&mut pending, key, t);
             }
             cu.waves.push(w);
             cu.pending.push(pending);
@@ -1626,6 +1753,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Stall cycles are charged lazily, but at every pause the accounts
+    /// are settled: each wave-cycle since the run began is either an
+    /// issue or a charged stall, and a snapshot/restore between quanta
+    /// changes nothing.
+    #[test]
+    fn stall_accounts_are_settled_at_every_pause() {
+        let mut b = KernelBuilder::new("bar_mem");
+        b.vgprs(4).sgprs(8).lds_bytes(16);
+        b.vop1(Opcode::VMovB32, 1, Operand::IntConst(0)).unwrap();
+        b.vop1(Opcode::VMovB32, 2, Operand::IntConst(1)).unwrap();
+        b.ds_write(Opcode::DsAddU32, 1, 2, 0).unwrap();
+        b.waitcnt(None, Some(0)).unwrap();
+        b.sopp(Opcode::SBarrier, 0).unwrap();
+        b.vop3a(
+            Opcode::VMulLoI32,
+            3,
+            Operand::Vgpr(2),
+            Operand::IntConst(3),
+            None,
+        )
+        .unwrap();
+        b.vop2(Opcode::VAddI32, 3, Operand::IntConst(7), 3).unwrap();
+        b.ds_read(Opcode::DsReadB32, 3, 1, 0).unwrap();
+        b.waitcnt(None, Some(0)).unwrap();
+        b.endpgm().unwrap();
+        let kernel = b.finish().unwrap();
+        let start = |cu: &mut ComputeUnit| {
+            for _ in 0..2 {
+                let wg = cu.add_workgroup();
+                for _ in 0..4 {
+                    cu.start_wave(tid_init(wg)).unwrap();
+                }
+            }
+        };
+        let waves = 8;
+
+        let mut reference = ComputeUnit::new(CuConfig::default(), &kernel).unwrap();
+        start(&mut reference);
+        let mut mem = FixedLatencyMemory::new(0, 0);
+        reference.run_to_completion(&mut mem).unwrap();
+
+        let mut cu = ComputeUnit::new(CuConfig::default(), &kernel).unwrap();
+        start(&mut cu);
+        let mut mem = FixedLatencyMemory::new(0, 0);
+        let mut pauses = 0;
+        while cu.run_until(&mut mem, 3).unwrap() == RunStatus::Paused {
+            pauses += 1;
+            let snap = cu.snapshot();
+            let charged: u64 = snap.stall_acc.iter().sum();
+            assert_eq!(
+                charged + cu.stats().instructions,
+                waves * cu.now(),
+                "wave-cycles not tiled at cycle {}",
+                cu.now()
+            );
+            cu = ComputeUnit::restore(CuConfig::default(), &kernel, &snap).unwrap();
+        }
+        assert!(pauses > 3);
+        assert_eq!(cu.stats(), reference.stats());
+        assert!(cu.stats().stall_total() > 0);
     }
 
     #[test]

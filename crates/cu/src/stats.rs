@@ -10,6 +10,9 @@ use scratch_trace::StallReason;
 /// Dynamic per-opcode execution counts.
 pub type OpcodeHistogram = BTreeMap<Opcode, u64>;
 
+/// Number of opcodes, the length of [`IssueCounters`]' per-opcode table.
+const OPCODES: usize = Opcode::ALL.len();
+
 /// Counters accumulated while a compute unit runs.
 ///
 /// These drive the paper's Fig. 4 characterisation (per-category instruction
@@ -146,6 +149,61 @@ impl CuStats {
     }
 }
 
+/// Allocation-free counters the compute unit bumps on every issue, in
+/// place of [`CuStats::record_issue`]/`record_busy`'s map updates. Indexed
+/// by `Opcode as usize` and `FuncUnit as usize`; folded into a
+/// [`CuStats`] whenever a run returns, which leaves the maps exactly as
+/// per-issue recording would have.
+#[derive(Debug, Clone)]
+pub(crate) struct IssueCounters {
+    instructions: u64,
+    work_item_ops: u64,
+    ops: [u64; OPCODES],
+    busy: [u64; FuncUnit::ALL.len()],
+}
+
+impl Default for IssueCounters {
+    fn default() -> IssueCounters {
+        IssueCounters {
+            instructions: 0,
+            work_item_ops: 0,
+            ops: [0; OPCODES],
+            busy: [0; FuncUnit::ALL.len()],
+        }
+    }
+}
+
+impl IssueCounters {
+    /// Count one issue of `opcode` covering `work_items` work-item
+    /// operations (see [`CuStats::work_item_ops`]).
+    pub(crate) fn record_issue(&mut self, opcode: Opcode, work_items: u64) {
+        self.instructions += 1;
+        self.work_item_ops += work_items;
+        self.ops[opcode as usize] += 1;
+    }
+
+    /// Count `cycles` of busy time on `unit`.
+    pub(crate) fn record_busy(&mut self, unit: FuncUnit, cycles: u64) {
+        self.busy[unit as usize] += cycles;
+    }
+
+    /// Add everything counted so far to `stats` and reset to zero.
+    pub(crate) fn fold_into(&mut self, stats: &mut CuStats) {
+        stats.instructions += std::mem::take(&mut self.instructions);
+        stats.work_item_ops += std::mem::take(&mut self.work_item_ops);
+        for (&op, n) in Opcode::ALL.iter().zip(&mut self.ops) {
+            if *n > 0 {
+                *stats.histogram.entry(op).or_default() += std::mem::take(n);
+            }
+        }
+        for (&unit, n) in FuncUnit::ALL.iter().zip(&mut self.busy) {
+            if *n > 0 {
+                stats.record_busy(unit, std::mem::take(n));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +281,42 @@ mod tests {
         assert_eq!(ab_c.stall_cycles[&StallReason::FetchStarve], 15);
         assert_eq!(ab_c.stall_cycles[&StallReason::Barrier], 2);
         assert_eq!(ab_c.stall_total(), 17);
+    }
+
+    #[test]
+    fn issue_counters_fold_like_per_issue_recording() {
+        // The counters index by discriminant; the fold maps index `i`
+        // back through `ALL[i]`, so the two orders must agree.
+        for (i, &op) in Opcode::ALL.iter().enumerate() {
+            assert_eq!(op as usize, i, "{op:?}");
+        }
+        for (i, &unit) in FuncUnit::ALL.iter().enumerate() {
+            assert_eq!(unit as usize, i, "{unit:?}");
+        }
+        let issues = [
+            (Opcode::VAddI32, 48, FuncUnit::Simd, 4),
+            (Opcode::SAddU32, 64, FuncUnit::Salu, 1),
+            (Opcode::VAddI32, 64, FuncUnit::Simd, 4),
+            (Opcode::VMulF32, 16, FuncUnit::Simf, 9),
+        ];
+        let mut direct = CuStats::default();
+        let mut counters = IssueCounters::default();
+        let mut folded = CuStats::default();
+        for (i, &(op, lanes, unit, busy)) in issues.iter().enumerate() {
+            direct.record_issue(op, lanes);
+            direct.record_busy(unit, busy);
+            let per_lane = op.is_vector_alu() || op.is_vector_memory();
+            counters.record_issue(op, if per_lane { u64::from(lanes) } else { 1 });
+            counters.record_busy(unit, busy);
+            if i == 1 {
+                // Folding mid-stream (a paused run) changes nothing.
+                counters.fold_into(&mut folded);
+            }
+        }
+        counters.fold_into(&mut folded);
+        assert_eq!(folded, direct);
+        counters.fold_into(&mut folded);
+        assert_eq!(folded, direct, "a fold resets the counters");
     }
 
     #[test]

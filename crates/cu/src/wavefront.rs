@@ -50,6 +50,10 @@ pub struct Wavefront {
     pub(crate) state: WaveState,
     /// Dynamic instruction count executed by this wavefront.
     pub(crate) retired: u64,
+    /// Cycle up to which this wave's stall cycles have been charged to
+    /// the compute unit's always-on accumulator (see
+    /// [`Wavefront::charge_stalls`]); not architectural state.
+    pub(crate) acct: u64,
 }
 
 impl Wavefront {
@@ -73,6 +77,7 @@ impl Wavefront {
             lgkm_events: Vec::new(),
             state: WaveState::Ready,
             retired: 0,
+            acct: 0,
         }
     }
 
@@ -324,21 +329,66 @@ impl Wavefront {
     }
 
     /// Earliest cycle at which a `s_waitcnt(vm ≤ vm_target, lgkm ≤ lgkm_target)`
-    /// would be satisfied.
+    /// would be satisfied. `scratch` is reusable working space, so the
+    /// evaluation allocates nothing once it has grown.
     #[must_use]
-    pub(crate) fn waitcnt_ready_at(&self, vm_target: u32, lgkm_target: u32) -> u64 {
-        fn nth_newest_completion(events: &[u64], keep: u32) -> u64 {
+    pub(crate) fn waitcnt_ready_at(
+        &self,
+        vm_target: u32,
+        lgkm_target: u32,
+        scratch: &mut Vec<u64>,
+    ) -> u64 {
+        fn nth_newest_completion(events: &[u64], keep: u32, scratch: &mut Vec<u64>) -> u64 {
             // The counter drops to `keep` once all but `keep` of the events
-            // have completed.
-            if events.len() <= keep as usize {
+            // have completed: the (keep+1)-th latest completion.
+            let keep = keep as usize;
+            if events.len() <= keep {
                 return 0;
             }
-            let mut sorted: Vec<u64> = events.to_vec();
-            sorted.sort_unstable();
-            sorted[events.len() - keep as usize - 1]
+            if keep == 0 {
+                return events.iter().copied().max().unwrap_or(0);
+            }
+            scratch.clear();
+            scratch.extend_from_slice(events);
+            *scratch.select_nth_unstable(events.len() - keep - 1).1
         }
-        nth_newest_completion(&self.vm_events, vm_target)
-            .max(nth_newest_completion(&self.lgkm_events, lgkm_target))
+        nth_newest_completion(&self.vm_events, vm_target, scratch).max(nth_newest_completion(
+            &self.lgkm_events,
+            lgkm_target,
+            scratch,
+        ))
+    }
+
+    /// Charge this wave's stall cycles over `[acct, to)` to `acc`
+    /// (indexed by `StallReason as usize`) and advance `acct` to `to`.
+    ///
+    /// The compute unit calls this before every change to `state`,
+    /// `next_ready` or `wait_reason` and before `run_until` returns, so
+    /// the interval always saw one scheduling state. Within it, each
+    /// decision interval would have been charged as follows: a retired
+    /// wave's idle slot counts as [`StallReason::WavepoolEmpty`], a wave
+    /// at the barrier as [`StallReason::Barrier`], and a ready wave as its
+    /// `wait_reason` while `next_ready` lies ahead and as
+    /// [`StallReason::StructuralFu`] afterwards. No decision interval
+    /// straddles `next_ready` (the scheduler's next event is never later
+    /// than a ready wave's `next_ready`), so splitting at it is exact.
+    /// Calls with `to <= acct` charge nothing (an issuing wave skips its
+    /// issue cycle by advancing `acct` past it).
+    pub(crate) fn charge_stalls(&mut self, acc: &mut [u64; StallReason::ALL.len()], to: u64) {
+        let from = self.acct;
+        if to <= from {
+            return;
+        }
+        match self.state {
+            WaveState::Done => acc[StallReason::WavepoolEmpty as usize] += to - from,
+            WaveState::AtBarrier => acc[StallReason::Barrier as usize] += to - from,
+            WaveState::Ready => {
+                let split = self.next_ready.clamp(from, to);
+                acc[self.wait_reason as usize] += split - from;
+                acc[StallReason::StructuralFu as usize] += to - split;
+            }
+        }
+        self.acct = to;
     }
 }
 
@@ -422,10 +472,44 @@ mod tests {
         assert_eq!(w.vmcnt(150), 2);
         assert_eq!(w.vmcnt(300), 0);
         // Waiting for vmcnt<=0 needs all three done; <=2 needs only first.
-        assert_eq!(w.waitcnt_ready_at(0, 0), 300);
-        assert_eq!(w.waitcnt_ready_at(2, 0), 100);
-        assert_eq!(w.waitcnt_ready_at(3, 0), 0);
+        let scratch = &mut Vec::new();
+        assert_eq!(w.waitcnt_ready_at(0, 0, scratch), 300);
+        assert_eq!(w.waitcnt_ready_at(2, 0, scratch), 100);
+        assert_eq!(w.waitcnt_ready_at(3, 0, scratch), 0);
         w.retire_mem_events(250);
         assert_eq!(w.vm_events, vec![300]);
+    }
+
+    /// In-place selection agrees with sorting a copy, for every target
+    /// and event multiset (duplicates included).
+    #[test]
+    fn waitcnt_selection_matches_sorting() {
+        fn sorted_nth(events: &[u64], keep: u32) -> u64 {
+            if events.len() <= keep as usize {
+                return 0;
+            }
+            let mut sorted = events.to_vec();
+            sorted.sort_unstable();
+            sorted[events.len() - keep as usize - 1]
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let scratch = &mut Vec::new();
+        let mut w = Wavefront::new(0, 0, 4, 1);
+        for _ in 0..500 {
+            w.vm_events = (0..next() % 20).map(|_| next() % 64).collect();
+            w.lgkm_events = (0..next() % 20).map(|_| next() % 64).collect();
+            for vm in (0..=21).chain([u32::MAX]) {
+                for lgkm in [0, 1, 3, 7, 19, u32::MAX] {
+                    let want = sorted_nth(&w.vm_events, vm).max(sorted_nth(&w.lgkm_events, lgkm));
+                    assert_eq!(w.waitcnt_ready_at(vm, lgkm, scratch), want);
+                }
+            }
+        }
     }
 }

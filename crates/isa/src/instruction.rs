@@ -213,6 +213,48 @@ pub struct Instruction {
     pub fields: Fields,
 }
 
+/// An instruction's explicit source operands, held inline: no format
+/// has more than three, so listing them never allocates. Derefs to a
+/// slice and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SourceOperands {
+    ops: [Operand; 3],
+    len: usize,
+}
+
+impl Default for SourceOperands {
+    fn default() -> SourceOperands {
+        SourceOperands {
+            ops: [Operand::IntConst(0); 3],
+            len: 0,
+        }
+    }
+}
+
+impl SourceOperands {
+    fn push(&mut self, op: Operand) {
+        self.ops[self.len] = op;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for SourceOperands {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        &self.ops[..self.len]
+    }
+}
+
+impl IntoIterator for SourceOperands {
+    type Item = Operand;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Operand, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ops.into_iter().take(self.len)
+    }
+}
+
 impl Instruction {
     /// Build and validate an instruction.
     ///
@@ -369,43 +411,45 @@ impl Instruction {
 
     /// The explicit source operands, in encoding order.
     #[must_use]
-    pub fn source_operands(&self) -> Vec<Operand> {
+    pub fn source_operands(&self) -> SourceOperands {
+        let mut ops = SourceOperands::default();
         match self.fields {
             Fields::Sop2 { ssrc0, ssrc1, .. } | Fields::Sopc { ssrc0, ssrc1 } => {
-                vec![ssrc0, ssrc1]
+                ops.push(ssrc0);
+                ops.push(ssrc1);
             }
-            Fields::Sop1 { ssrc0, .. } => vec![ssrc0],
-            Fields::Sopk { .. } | Fields::Sopp { .. } => vec![],
+            Fields::Sop1 { ssrc0, .. } => ops.push(ssrc0),
+            Fields::Sopk { .. } | Fields::Sopp { .. } => {}
             Fields::Smrd { sbase, offset, .. } => {
-                let mut v = vec![Operand::Sgpr(sbase)];
+                ops.push(Operand::Sgpr(sbase));
                 if let SmrdOffset::Sgpr(s) = offset {
-                    v.push(Operand::Sgpr(s));
+                    ops.push(Operand::Sgpr(s));
                 }
-                v
             }
             Fields::Vop2 { src0, vsrc1, .. } | Fields::Vopc { src0, vsrc1 } => {
-                vec![src0, Operand::Vgpr(vsrc1)]
+                ops.push(src0);
+                ops.push(Operand::Vgpr(vsrc1));
             }
-            Fields::Vop1 { src0, .. } => vec![src0],
+            Fields::Vop1 { src0, .. } => ops.push(src0),
             Fields::Vop3a {
                 src0, src1, src2, ..
             }
             | Fields::Vop3b {
                 src0, src1, src2, ..
             } => {
-                let mut v = vec![src0, src1];
+                ops.push(src0);
+                ops.push(src1);
                 if let Some(s) = src2 {
-                    v.push(s);
+                    ops.push(s);
                 }
-                v
             }
             Fields::Ds {
                 addr, data0, data1, ..
-            } => vec![
-                Operand::Vgpr(addr),
-                Operand::Vgpr(data0),
-                Operand::Vgpr(data1),
-            ],
+            } => {
+                ops.push(Operand::Vgpr(addr));
+                ops.push(Operand::Vgpr(data0));
+                ops.push(Operand::Vgpr(data1));
+            }
             Fields::Mubuf {
                 vaddr,
                 srsrc,
@@ -417,8 +461,13 @@ impl Instruction {
                 srsrc,
                 soffset,
                 ..
-            } => vec![Operand::Vgpr(vaddr), Operand::Sgpr(srsrc), soffset],
+            } => {
+                ops.push(Operand::Vgpr(vaddr));
+                ops.push(Operand::Sgpr(srsrc));
+                ops.push(soffset);
+            }
         }
+        ops
     }
 
     /// The literal constant carried by this instruction, if any.

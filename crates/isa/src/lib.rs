@@ -49,7 +49,7 @@ mod operand;
 
 pub use error::IsaError;
 pub use formats::Format;
-pub use instruction::{Fields, Instruction, SmrdOffset};
+pub use instruction::{Fields, Instruction, SmrdOffset, SourceOperands};
 pub use meta::{Category, DataType, FuncUnit};
 pub use opcode::Opcode;
 pub use operand::Operand;
