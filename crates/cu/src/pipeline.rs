@@ -345,6 +345,27 @@ pub struct WaveInit {
     pub vgprs: Vec<(u32, Vec<u32>)>,
 }
 
+impl WaveInit {
+    /// Program `wave`'s execute mask and registers from this initialiser
+    /// (the cycle pipeline and the fast tier share it).
+    ///
+    /// # Errors
+    ///
+    /// Register initialisers outside the wave's budgets.
+    pub fn apply(&self, wave: &mut Wavefront) -> Result<(), CuError> {
+        wave.exec = self.exec;
+        for &(r, v) in &self.sgprs {
+            wave.set_sgpr(r, v)?;
+        }
+        for (r, lanes) in &self.vgprs {
+            for (lane, &v) in lanes.iter().enumerate().take(WAVEFRONT_SIZE) {
+                wave.set_vgpr(*r, lane, v)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Outcome of a budgeted [`ComputeUnit::run_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
@@ -648,16 +669,8 @@ impl ComputeUnit {
             usize::from(self.meta.sgprs),
             usize::from(self.meta.vgprs),
         );
-        wave.exec = init.exec;
         wave.next_ready = self.now;
-        for &(r, v) in &init.sgprs {
-            wave.set_sgpr(r, v)?;
-        }
-        for (r, lanes) in &init.vgprs {
-            for (lane, &v) in lanes.iter().enumerate().take(scratch_isa::WAVEFRONT_SIZE) {
-                wave.set_vgpr(*r, lane, v)?;
-            }
-        }
+        init.apply(&mut wave)?;
         self.workgroups[init.workgroup].waves.push(idx);
         self.waves.push(wave);
         self.pending.push(Pending::new());

@@ -52,8 +52,8 @@ use scratch_profile::{
     InstrSignature, JobSpans, SloSnapshot, SloWindow, SpanKind, SpanRecorder, SpanTrack,
 };
 use scratch_system::{
-    CuError, DispatchProgress, ExecMode, System, SystemCheckpoint, SystemConfig, SystemError,
-    SystemKind,
+    check_grid, CuError, DispatchProgress, ExecMode, System, SystemCheckpoint, SystemConfig,
+    SystemError, SystemKind,
 };
 use scratch_wal::{CrashOnAppend, PendingEntry, Record, RecoveryReport, Wal, WalConfig};
 
@@ -666,6 +666,9 @@ impl Inner {
         if let Err(msg) = req.exec_mode() {
             return self.reject(&req.tenant, RejectReason::Invalid, None, &msg);
         }
+        if let Err(e) = check_grid(req.grid, req.kernel.meta().workgroup_size) {
+            return self.reject(&req.tenant, RejectReason::Invalid, None, &e.to_string());
+        }
         if req.input.len() > self.config.max_input_words {
             let msg = format!(
                 "input of {} words exceeds the {}-word limit",
@@ -948,6 +951,10 @@ impl Inner {
                 self.dead_letter(entry.id, &msg);
                 continue;
             }
+            if let Err(e) = check_grid(req.grid, req.kernel.meta().workgroup_size) {
+                self.dead_letter(entry.id, &e.to_string());
+                continue;
+            }
             // A checkpoint from a foreign snap format version is dropped
             // (the job re-runs from scratch, still exactly-once); same-
             // version bytes resume mid-kernel.
@@ -1187,10 +1194,11 @@ fn build_signature(req: &SubmitRequest, kind: SystemKind, sys: &System) -> Optio
 
 /// Run one quantum of an admitted submission on the calling engine
 /// worker. The first slice builds the system ([`build_system`]); a
-/// fast-tier job runs whole there, a cycle-tier job pauses at each
-/// quantum boundary and later slices rebuild it from the carried
-/// checkpoint bytes. Checkpoint/restore is bit-identical, so sliced
-/// served results match offline execution.
+/// cycle-tier job pauses at each quantum boundary and later slices
+/// rebuild it from the carried checkpoint bytes, while a fast-tier job
+/// (no checkpointable state) completes in that first slice.
+/// Checkpoint/restore is bit-identical, so sliced served results match
+/// offline execution.
 #[allow(clippy::too_many_arguments)]
 fn run_slice(
     req: &SubmitRequest,
@@ -1237,16 +1245,8 @@ fn run_slice(
             mark(SpanKind::Run);
             (sys, *out_addr) =
                 build_system(req, kind, exec, registry, watchdog, profile, job).map_err(map_err)?;
-            if exec == ExecMode::Cycle {
-                sys.dispatch_preemptible(req.grid, quantum)
-                    .map_err(map_err)?
-            } else {
-                // Fast tiers have no cycle-accurate state to checkpoint
-                // (`SnapError::UnsupportedExecMode`), so jobs that don't
-                // need cycle counts run whole in this first slice.
-                let cycles = sys.dispatch(req.grid).map_err(map_err)?;
-                DispatchProgress::Complete { cycles }
-            }
+            sys.dispatch_preemptible(req.grid, quantum)
+                .map_err(map_err)?
         }
     };
     match progress {

@@ -368,9 +368,22 @@ fn oversized_and_invalid_submissions_shed_without_queueing() {
         .expect_err("unknown preset sheds");
     assert_eq!(invalid.reason, RejectReason::Invalid);
 
+    // Grids whose workgroup count or global size overflows the
+    // dispatcher's counters are refused before queueing.
+    for grid in [[u32::MAX, 1, 1], [u32::MAX; 3]] {
+        let mut huge = submit_of(&gk, "acme", "huge", false);
+        huge.input = Vec::new();
+        huge.grid = grid;
+        let rejection = client
+            .submit(huge)
+            .expect("protocol")
+            .expect_err("overflowing grid sheds");
+        assert_eq!(rejection.reason, RejectReason::Invalid, "{grid:?}");
+    }
+
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 0, "nothing was queued");
-    assert_eq!(stats.shed, 2);
+    assert_eq!(stats.shed, 4);
 }
 
 #[test]

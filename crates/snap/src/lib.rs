@@ -53,10 +53,6 @@ pub enum SnapError {
     Corrupt(String),
     /// The value tree decoded fine but does not match the target type.
     De(String),
-    /// Checkpointing was requested of an execution tier that cannot take
-    /// checkpoints (the fast functional tier has no cycle-accurate state
-    /// to capture; only `ExecMode::Cycle` dispatches are preemptible).
-    UnsupportedExecMode,
 }
 
 impl fmt::Display for SnapError {
@@ -72,10 +68,6 @@ impl fmt::Display for SnapError {
             SnapError::Truncated => write!(f, "snapshot truncated"),
             SnapError::Corrupt(msg) => write!(f, "snapshot corrupt: {msg}"),
             SnapError::De(msg) => write!(f, "snapshot decode: {msg}"),
-            SnapError::UnsupportedExecMode => write!(
-                f,
-                "checkpointing requires the cycle execution tier (ExecMode::Cycle)"
-            ),
         }
     }
 }

@@ -166,17 +166,39 @@ fn sparse_pages_keep_snapshots_compact() {
 }
 
 /// The fast functional tier has no cycle-accurate state to capture, so a
-/// preemptible dispatch on it must fail with the typed
-/// [`SnapError::UnsupportedExecMode`] — never a silent wrong-cycle
-/// checkpoint. Cycle-tier dispatches stay preemptible as before.
+/// preemptible dispatch on it runs whole: `Complete` on the first call,
+/// with exactly what a plain `dispatch` leaves behind. Cycle-tier
+/// dispatches stay preemptible as before.
 #[test]
-fn preemptible_dispatch_requires_the_cycle_tier() {
+fn preemptible_dispatch_runs_fast_tiers_whole() {
     use scratch_asm::KernelBuilder;
-    use scratch_system::{ExecMode, System, SystemConfig, SystemError, SystemKind};
+    use scratch_isa::{Opcode, Operand, SmrdOffset};
+    use scratch_system::{abi, DispatchProgress, ExecMode, System, SystemConfig, SystemKind};
 
+    // out[tid] = tid.
     let kernel = {
-        let mut b = KernelBuilder::new("snap_exec_guard");
+        let mut b = KernelBuilder::new("snap_exec_whole");
         b.vgprs(4).sgprs(24).workgroup_size(64);
+        b.smrd(
+            Opcode::SBufferLoadDwordx2,
+            Operand::Sgpr(20),
+            abi::CONST_BUF1,
+            SmrdOffset::Imm(0),
+        )
+        .unwrap();
+        b.waitcnt(None, Some(0)).unwrap();
+        b.vop2(Opcode::VLshlrevB32, 3, Operand::IntConst(2), abi::TID_X)
+            .unwrap();
+        b.mubuf(
+            Opcode::BufferStoreDword,
+            abi::TID_X,
+            3,
+            abi::UAV_DESC,
+            Operand::Sgpr(20),
+            0,
+        )
+        .unwrap();
+        b.waitcnt(Some(0), None).unwrap();
         b.endpgm().unwrap();
         b.finish().unwrap()
     };
@@ -185,31 +207,32 @@ fn preemptible_dispatch_requires_the_cycle_tier() {
         let mut sys = System::new(config, &kernel).unwrap();
         let out = sys.alloc(4096);
         sys.set_args(&[out as u32]);
-        sys
+        (sys, out)
     };
 
     for exec in [ExecMode::Fast, ExecMode::FastWithTiming] {
-        let err = system(exec)
-            .dispatch_preemptible([1, 1, 1], 100)
-            .unwrap_err();
+        let (mut reference, out) = system(exec);
+        let cycles = reference.dispatch([1, 1, 1]).unwrap();
+        let (mut sys, _) = system(exec);
         assert_eq!(
-            err,
-            SystemError::Snap(scratch_snap::SnapError::UnsupportedExecMode),
-            "{exec:?} must be rejected with the typed snap error"
+            sys.dispatch_preemptible([1, 1, 1], 1).unwrap(),
+            DispatchProgress::Complete { cycles },
+            "{exec:?} runs whole in the first call"
         );
-        assert!(
-            err.to_string().contains("cycle execution tier"),
-            "error should tell the caller which tier is required: {err}"
-        );
+        let words = sys.read_words(out, 64);
+        assert_eq!(words, (0..64).collect::<Vec<u32>>(), "{exec:?}");
+        assert_eq!(words, reference.read_words(out, 64), "{exec:?}");
+        assert_eq!(sys.report(), reference.report(), "{exec:?}");
+        assert_eq!(sys.fast_stats(0), reference.fast_stats(0), "{exec:?}");
     }
 
-    // The guard must not break the supported path.
-    use scratch_system::DispatchProgress;
     let progress = system(ExecMode::Cycle)
-        .dispatch_preemptible([1, 1, 1], 100)
+        .0
+        .dispatch_preemptible([1, 1, 1], 1)
         .unwrap();
-    assert!(
-        matches!(progress, DispatchProgress::Complete { .. }),
-        "an endpgm kernel finishes in one quantum"
+    assert_eq!(
+        progress,
+        DispatchProgress::Paused,
+        "the cycle tier still yields at quantum boundaries"
     );
 }

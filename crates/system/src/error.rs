@@ -29,6 +29,14 @@ pub enum SystemError {
     ArgsNotSet,
     /// A zero-sized grid or workgroup was dispatched.
     EmptyDispatch,
+    /// A grid whose workgroup count, or global X size, overflows the
+    /// dispatcher's counters (see [`crate::check_grid`]).
+    GridOverflow {
+        /// Workgroups requested per dimension.
+        grid: [u32; 3],
+        /// Work-items per workgroup.
+        workgroup_size: u32,
+    },
     /// A CU count outside what the FPGA allocator could ever place.
     InvalidCuCount {
         /// CUs requested.
@@ -43,9 +51,7 @@ pub enum SystemError {
         /// What was violated.
         reason: String,
     },
-    /// Snapshot-codec failure, including requesting checkpoints of an
-    /// execution tier that cannot take them
-    /// ([`scratch_snap::SnapError::UnsupportedExecMode`]).
+    /// Snapshot-codec failure.
     Snap(scratch_snap::SnapError),
     /// The self-checking `ExecMode::FastWithTiming` tier found the fast
     /// path's memory writes diverging from the cycle pipeline's.
@@ -78,6 +84,13 @@ impl fmt::Display for SystemError {
             ),
             SystemError::ArgsNotSet => write!(f, "kernel arguments not set before dispatch"),
             SystemError::EmptyDispatch => write!(f, "dispatch with an empty grid or workgroup"),
+            SystemError::GridOverflow {
+                grid,
+                workgroup_size,
+            } => write!(
+                f,
+                "grid {grid:?} of {workgroup_size}-item workgroups overflows the dispatcher's counters"
+            ),
             SystemError::InvalidCuCount { requested, max } => write!(
                 f,
                 "{requested} compute units requested, but the device routes at most {max}"

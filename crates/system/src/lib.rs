@@ -69,8 +69,8 @@ pub use error::SystemError;
 pub use fault::{CuUpset, FaultSpec, MemUpset};
 pub use memory::{EpochDelta, EpochMemory, EpochState, MemTiming, MemoryState, SharedMemory};
 pub use system::{
-    DispatchProgress, ExecMode, RunReport, System, SystemCheckpoint, SystemConfig, SystemKind,
-    TraceMode,
+    check_grid, DispatchProgress, ExecMode, RunReport, System, SystemCheckpoint, SystemConfig,
+    SystemKind, TraceMode,
 };
 
 pub use scratch_cu::{CuError, CuFault, CuStats, FaultRecord, FaultTarget};

@@ -12,7 +12,7 @@ use scratch_fastpath::{run_workgroup, translate, FastStats, Fuel, Program, WaveS
 use scratch_fpga::{cu_capacity_bound, Device};
 use scratch_isa::{FuncUnit, WAVEFRONT_SIZE};
 use scratch_metrics::{Counter, Gauge, Histogram, Registry};
-use scratch_snap::{CuSnapshot, SnapError};
+use scratch_snap::CuSnapshot;
 use scratch_trace::{EventBuffer, StallReason, TraceEvent, TraceSummary, Tracer as _};
 
 use crate::fault::{CuFault, FaultRecord, FaultSpec, ScheduledFaults};
@@ -578,13 +578,9 @@ impl System {
     /// As [`System::dispatch`]; additionally panics are avoided by treating
     /// an out-of-range index as an empty dispatch error.
     pub fn dispatch_kernel(&mut self, idx: usize, grid: [u32; 3]) -> Result<u64, SystemError> {
-        if self.paused.is_some() {
-            return Err(preemption("a paused preemptible dispatch is in flight"));
-        }
-        match self.exec_tier() {
-            ExecMode::Cycle => self.dispatch_cycle(idx, grid),
-            ExecMode::Fast => self.dispatch_fast(idx, grid),
-            ExecMode::FastWithTiming => self.dispatch_fast_timing(idx, grid),
+        match self.start_dispatch(idx, grid, u64::MAX)? {
+            DispatchProgress::Complete { cycles } => Ok(cycles),
+            DispatchProgress::Paused => unreachable!("an unbounded quantum finishes every shard"),
         }
     }
 
@@ -599,152 +595,230 @@ impl System {
         }
     }
 
-    /// Run-to-completion dispatch on the cycle-accurate pipeline.
-    fn dispatch_cycle(&mut self, idx: usize, grid: [u32; 3]) -> Result<u64, SystemError> {
+    /// The one dispatch loop, entered by [`System::dispatch_kernel`] with
+    /// an unbounded quantum and by [`System::dispatch_kernel_preemptible`]:
+    /// plan the launch and run its first turn. The fast tier keeps no
+    /// checkpointable state, so fast and self-checking dispatches run
+    /// whole here whatever the quantum. A self-checking dispatch runs the
+    /// fast tier against throwaway views of the pre-dispatch memory, then
+    /// the cycle pipeline as usual; [`System::check_shadow`] compares the
+    /// two once the pipeline has committed.
+    fn start_dispatch(
+        &mut self,
+        idx: usize,
+        grid: [u32; 3],
+        mut quantum: u64,
+    ) -> Result<DispatchProgress, SystemError> {
+        if self.paused.is_some() {
+            return Err(preemption("a paused preemptible dispatch is in flight"));
+        }
         let (launch, assignments) = self.plan_dispatch(idx, grid)?;
-        let before: Vec<u64> = self.cus.iter().map(ComputeUnit::now).collect();
-        self.run_cycle_epoch(&launch, &assignments, &before)?;
-        Ok(self.finish_dispatch(idx, &before))
+        let mut p = PausedDispatch {
+            kernel_idx: idx,
+            grid,
+            launch,
+            assignments,
+            cursors: Vec::new(),
+            epochs: Vec::new(),
+            before: self.cus.iter().map(ComputeUnit::now).collect(),
+            shadow: None,
+        };
+        p.reset_shards(&self.mem);
+        let tier = self.exec_tier();
+        if tier != ExecMode::Cycle {
+            let prog = self.fast_program(idx)?;
+            let stats = Mutex::new(FastStats::for_program(&prog));
+            let turns = self.run_shards(&mut p, Some((&prog, &stats)), u64::MAX);
+            let stats = stats.into_inner().expect("fast stats lock");
+            if tier == ExecMode::Fast {
+                self.commit_shards(&mut p, turns)?;
+                self.fast_instructions += stats.instructions;
+                if let Some(slot) = &mut self.fast[idx] {
+                    slot.stats.merge(&stats);
+                }
+                let cycles = self.finish_dispatch(idx, &p.before);
+                return Ok(DispatchProgress::Complete { cycles });
+            }
+            let deltas = p
+                .epochs
+                .iter_mut()
+                .map(|e| e.take().expect("fast shards hold an epoch").into_delta())
+                .collect();
+            p.shadow = Some(match turns.into_iter().find_map(Result::err) {
+                Some(e) => Err(e),
+                None => Ok((stats, deltas)),
+            });
+            p.reset_shards(&self.mem);
+            quantum = u64::MAX;
+        }
+        // Load the kernel on every CU up front so a checkpoint only ever
+        // holds waves of the in-flight kernel.
+        for cu in &mut self.cus {
+            cu.load_kernel(&p.launch.kernel)?;
+        }
+        self.step(p, quantum)
     }
 
-    /// Run one planned dispatch epoch on the cycle pipeline and commit it.
-    fn run_cycle_epoch(
+    /// One cycle-pipeline turn of the in-flight dispatch `p`: every
+    /// unfinished shard runs for up to `quantum` CU cycles. Parks the
+    /// dispatch while shards remain; otherwise commits it, checks a
+    /// self-checking dispatch's fast shadow, and finishes it.
+    fn step(
         &mut self,
-        launch: &Launch,
-        assignments: &CuAssignments,
-        before: &[u64],
-    ) -> Result<(), SystemError> {
-        let n_cus = self.cus.len();
-        let workers = self.effective_workers().min(n_cus).max(1);
+        mut p: PausedDispatch,
+        quantum: u64,
+    ) -> Result<DispatchProgress, SystemError> {
+        let turns = self.run_shards(&mut p, None, quantum.max(1));
+        if turns.iter().all(Result::is_ok) && turns.iter().any(|t| matches!(t, Ok(false))) {
+            self.paused = Some(p);
+            return Ok(DispatchProgress::Paused);
+        }
+        self.commit_shards(&mut p, turns)?;
+        if let Some(shadow) = p.shadow.take() {
+            self.check_shadow(p.kernel_idx, shadow)?;
+        }
+        let cycles = self.finish_dispatch(p.kernel_idx, &p.before);
+        Ok(DispatchProgress::Complete { cycles })
+    }
 
-        // Run every CU's shard against a private epoch view of the shared
-        // memory; no shard observes another's writes or server clock, so
-        // the outcomes are identical whichever scheduler produced them.
-        let mut outcomes: Vec<ShardOutcome> = if workers > 1 {
-            self.run_shards_parallel(launch, assignments, workers)
-        } else {
-            let mem = &self.mem;
-            self.cus
-                .iter_mut()
-                .zip(assignments)
-                .map(|(cu, wgs)| {
-                    let mut view = mem.epoch();
-                    let res = run_cu_share(cu, launch, wgs, &mut view);
-                    Some((res, view.finish()))
-                })
-                .collect()
-        };
-
-        // Deterministic commit: apply deltas and drain per-CU trace events
-        // in CU-index order, stopping at the first failing CU. Shards at
-        // or past a failure never become visible.
-        let mut failure: Option<SystemError> = None;
-        for (ci, slot) in outcomes.iter_mut().enumerate() {
-            let (res, delta) = slot.take().expect("every shard produces an outcome");
-            if failure.is_some() {
-                continue;
+    /// The one shard scheduler: give every unfinished shard of `p` a turn
+    /// against its own epoch view, in CU order on the calling thread or on
+    /// [`SystemConfig::workers`] scoped threads claiming shards in CU
+    /// order. A cycle shard runs for up to `quantum` CU cycles; with
+    /// `fast` set, a shard runs its whole share on the fast tier's program
+    /// and folds its counters into the shared total. Returns, per CU,
+    /// whether the shard has finished. No shard observes another's writes
+    /// or server clock, so the turns are identical whichever thread ran
+    /// them.
+    fn run_shards(
+        &mut self,
+        p: &mut PausedDispatch,
+        fast: Option<(&Program, &Mutex<FastStats>)>,
+        quantum: u64,
+    ) -> Vec<Result<bool, SystemError>> {
+        let workers = self.shard_workers();
+        let mem = &self.mem;
+        let launch = &p.launch;
+        let turn = |s: Shard<'_>| -> Result<bool, SystemError> {
+            if s.cursor.finished(s.wgs.len()) {
+                return Ok(true);
             }
-            match res {
-                Ok(()) => {
-                    self.mem.commit(delta);
+            let state = s.epoch.take().expect("unfinished shards keep an epoch");
+            let mut view = mem.epoch_resume(state);
+            let done = match fast {
+                Some((prog, stats)) => {
+                    run_fast_share(prog, launch, s.wgs, &mut view, s.cu.config()).map(|share| {
+                        stats.lock().expect("fast stats lock").merge(&share);
+                        s.cursor.next_wg = s.wgs.len() as u64;
+                        true
+                    })
+                }
+                None => run_cu_share_slice(s.cu, launch, s.wgs, &mut view, s.cursor, quantum),
+            };
+            *s.epoch = Some(view.suspend());
+            done
+        };
+        let shards: Vec<Shard<'_>> = self
+            .cus
+            .iter_mut()
+            .zip(&p.assignments)
+            .zip(&mut p.cursors)
+            .zip(&mut p.epochs)
+            .map(|(((cu, wgs), cursor), epoch)| Shard {
+                cu,
+                wgs,
+                cursor,
+                epoch,
+            })
+            .collect();
+        if workers == 1 {
+            return shards.into_iter().map(turn).collect();
+        }
+        let slots: Vec<Mutex<Option<Shard<'_>>>> =
+            shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
+        let turns: Vec<Mutex<Option<Result<bool, SystemError>>>> =
+            slots.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(i) else { break };
+                    let shard = slot
+                        .lock()
+                        .expect("shard slot lock")
+                        .take()
+                        .expect("each shard is claimed exactly once");
+                    *turns[i].lock().expect("turn slot lock") = Some(turn(shard));
+                });
+            }
+        });
+        turns
+            .into_iter()
+            .map(|m| {
+                m.into_inner()
+                    .expect("turn lock")
+                    .expect("every shard took its turn")
+            })
+            .collect()
+    }
+
+    /// The one commit, once a turn has finished every shard or one has
+    /// failed: apply the shards' epoch deltas in CU order, draining each
+    /// CU's trace events followed by its [`TraceEvent::ShardRun`]. The
+    /// first failure wins: shards before it commit; it, every later
+    /// shard, and any shard an aborted bounded turn left unfinished never
+    /// become visible.
+    fn commit_shards(
+        &mut self,
+        p: &mut PausedDispatch,
+        turns: Vec<Result<bool, SystemError>>,
+    ) -> Result<(), SystemError> {
+        let workers = self.shard_workers();
+        let mut failure = None;
+        let mut open = true;
+        for (ci, turn) in turns.into_iter().enumerate() {
+            match turn {
+                Ok(true) if open => {
+                    let state = p.epochs[ci].take().expect("finished shards hold an epoch");
+                    self.mem.commit(state.into_delta());
                     if let Some(buf) = &mut self.trace_buf {
                         buf.extend(self.cu_bufs[ci].take());
                         buf.record(&TraceEvent::ShardRun {
                             cu: ci as u32,
                             worker: (ci % workers) as u32,
-                            start: before[ci],
+                            start: p.before[ci],
                             end: self.cus[ci].now(),
                             job: self.job_id,
                         });
                     }
                 }
-                Err(e) => failure = Some(e),
-            }
-        }
-        if let Some(e) = failure {
-            for buf in &self.cu_bufs {
-                let _ = buf.take();
-            }
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Run-to-completion dispatch on the block-compiled fast tier: the
-    /// same plan, workgroup shares, launch ABI, epoch views, and CU-order
-    /// commit as [`System::dispatch_cycle`], but each share is executed by
-    /// the translated program instead of the cycle pipeline. Returns 0
-    /// cycles — the fast tier is functional-only.
-    fn dispatch_fast(&mut self, idx: usize, grid: [u32; 3]) -> Result<u64, SystemError> {
-        let (launch, assignments) = self.plan_dispatch(idx, grid)?;
-        let prog = self.fast_program(idx)?;
-        let outcomes = self.run_fast_shards(&prog, &launch, &assignments);
-        let mut failure: Option<SystemError> = None;
-        let mut stats = FastStats::for_program(&prog);
-        for slot in outcomes {
-            let (res, delta) = slot.expect("every fast shard produces an outcome");
-            if failure.is_some() {
-                continue;
-            }
-            match res {
-                Ok(s) => {
-                    self.mem.commit(delta);
-                    stats.merge(&s);
-                }
-                Err(e) => failure = Some(e),
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        self.fast_instructions += stats.instructions;
-        if let Some(slot) = &mut self.fast[idx] {
-            slot.stats.merge(&stats);
-        }
-        self.finish_fast_dispatch(idx);
-        Ok(0)
-    }
-
-    /// Self-checking dispatch: run the fast tier against throwaway views
-    /// of the pre-dispatch memory, run (and commit) the cycle pipeline as
-    /// usual, then verify every byte the fast tier wrote against the
-    /// committed image. Returns the cycle pipeline's cycle count.
-    fn dispatch_fast_timing(&mut self, idx: usize, grid: [u32; 3]) -> Result<u64, SystemError> {
-        let (launch, assignments) = self.plan_dispatch(idx, grid)?;
-        let prog = self.fast_program(idx)?;
-        // Fast tier first, over views seeded from the same pre-dispatch
-        // base the cycle shards will see. Its deltas are never committed.
-        let fast_outcomes = self.run_fast_shards(&prog, &launch, &assignments);
-        let before: Vec<u64> = self.cus.iter().map(ComputeUnit::now).collect();
-        let cycle_res = self.run_cycle_epoch(&launch, &assignments, &before);
-        let mut fast_err: Option<SystemError> = None;
-        let mut stats = FastStats::for_program(&prog);
-        let mut deltas = Vec::new();
-        for slot in fast_outcomes {
-            let (res, delta) = slot.expect("every fast shard produces an outcome");
-            match res {
-                Ok(s) => {
-                    stats.merge(&s);
-                    deltas.push(delta);
-                }
                 Err(e) => {
-                    if fast_err.is_none() {
-                        fast_err = Some(e);
-                    }
+                    failure.get_or_insert(e);
+                    open = false;
                 }
+                Ok(_) => open = false,
             }
         }
-        match (cycle_res, fast_err) {
-            // The cycle pipeline is authoritative: its failure is the
-            // dispatch's failure whatever the fast tier thought.
-            (Err(e), _) => return Err(e),
-            (Ok(()), Some(e)) => {
-                return Err(SystemError::FastDivergence {
-                    what: format!("fast tier failed where the cycle pipeline succeeded: {e}"),
-                });
+        match failure {
+            None => Ok(()),
+            Some(e) => {
+                for buf in &self.cu_bufs {
+                    let _ = buf.take();
+                }
+                Err(e)
             }
-            (Ok(()), None) => {}
         }
+    }
+
+    /// Verify a self-checking dispatch once the cycle pipeline has
+    /// committed: every byte the fast tier wrote must match the committed
+    /// image. The pipeline is authoritative — its own failure was already
+    /// the dispatch's failure, whatever the fast tier thought.
+    fn check_shadow(&mut self, idx: usize, shadow: FastShadow) -> Result<(), SystemError> {
+        let (stats, deltas) = shadow.map_err(|e| SystemError::FastDivergence {
+            what: format!("fast tier failed where the cycle pipeline succeeded: {e}"),
+        })?;
         for delta in &deltas {
             if let Some((addr, want, got)) = self.mem.first_delta_mismatch(delta) {
                 return Err(SystemError::FastDivergence {
@@ -759,7 +833,7 @@ impl System {
         if let Some(slot) = &mut self.fast[idx] {
             slot.stats.merge(&stats);
         }
-        Ok(self.finish_dispatch(idx, &before))
+        Ok(())
     }
 
     /// Translate kernel `idx` for the fast tier (cached after the first
@@ -776,73 +850,6 @@ impl System {
         Ok(Arc::clone(
             &self.fast[idx].as_ref().expect("slot just filled").prog,
         ))
-    }
-
-    /// Run every CU share of a fast-tier dispatch against private epoch
-    /// views, serially or on scoped worker threads exactly like the cycle
-    /// schedulers. Returns one outcome slot per CU, in CU-index order.
-    fn run_fast_shards(
-        &self,
-        prog: &Program,
-        launch: &Launch,
-        assignments: &CuAssignments,
-    ) -> Vec<FastShardOutcome> {
-        let cfg = self.cus[0].config();
-        let workers = self.effective_workers().min(assignments.len()).max(1);
-        let mem = &self.mem;
-        if workers > 1 {
-            let outcomes: Vec<Mutex<FastShardOutcome>> =
-                (0..assignments.len()).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers.min(assignments.len()) {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(wgs) = assignments.get(i) else { break };
-                        let mut view = mem.epoch();
-                        let res = run_fast_share(prog, launch, wgs, &mut view, cfg);
-                        *outcomes[i].lock().expect("outcome slot lock") =
-                            Some((res, view.finish()));
-                    });
-                }
-            });
-            outcomes
-                .into_iter()
-                .map(|m| m.into_inner().expect("outcome lock"))
-                .collect()
-        } else {
-            assignments
-                .iter()
-                .map(|wgs| {
-                    let mut view = mem.epoch();
-                    let res = run_fast_share(prog, launch, wgs, &mut view, cfg);
-                    Some((res, view.finish()))
-                })
-                .collect()
-        }
-    }
-
-    /// Fast-tier dispatch epilogue: the same per-kernel accounting and
-    /// metrics flush as [`System::finish_dispatch`], with zero cycles
-    /// spent (the fast tier has no clock).
-    fn finish_fast_dispatch(&mut self, idx: usize) {
-        self.per_kernel_dispatches[idx] += 1;
-        if self.last_kernel.is_some_and(|prev| prev != idx) {
-            self.kernel_switches += 1;
-        }
-        self.last_kernel = Some(idx);
-        if let Some(m) = &mut self.metrics {
-            let mut instructions = self.fast_instructions;
-            let mut stalls = [0u64; StallReason::ALL.len()];
-            for cu in &self.cus {
-                let s = cu.stats();
-                instructions += s.instructions;
-                for (&r, &n) in &s.stall_cycles {
-                    stalls[r as usize] += n;
-                }
-            }
-            m.flush_dispatch(0, instructions, &stalls, &self.mem);
-        }
     }
 
     /// Accumulated fast-tier statistics for kernel `idx`: dynamic
@@ -897,10 +904,9 @@ impl System {
         }
     }
 
-    /// Shared prologue of the run-to-completion and preemptible dispatch
-    /// paths: validate the launch, materialise scheduled memory upsets at
-    /// the dispatch boundary, publish the OpenCL call values, and
-    /// round-robin the grid's workgroups over the CUs.
+    /// Dispatch prologue: validate the launch, materialise scheduled
+    /// memory upsets at the dispatch boundary, publish the OpenCL call
+    /// values, and round-robin the grid's workgroups over the CUs.
     fn plan_dispatch(
         &mut self,
         idx: usize,
@@ -913,10 +919,7 @@ impl System {
             .ok_or(SystemError::EmptyDispatch)?
             .clone();
         let wg_size = kernel.meta().workgroup_size;
-        let total_wgs = u64::from(grid[0]) * u64::from(grid[1]) * u64::from(grid[2]);
-        if total_wgs == 0 || wg_size == 0 {
-            return Err(SystemError::EmptyDispatch);
-        }
+        check_grid(grid, wg_size)?;
         let waves_per_wg = (wg_size as usize).div_ceil(WAVEFRONT_SIZE);
         if let Some(buf) = &mut self.trace_buf {
             buf.record(&TraceEvent::KernelDispatch {
@@ -984,10 +987,11 @@ impl System {
         Ok((launch, assignments))
     }
 
-    /// Shared epilogue of both dispatch paths, run once every shard has
-    /// committed: drain pipeline-fault records in CU-index order, account
-    /// the dispatch to its kernel, and flush the metrics plane. Returns
-    /// the CU cycles the dispatch took (max across CUs).
+    /// Dispatch epilogue, run once every shard has committed: drain
+    /// pipeline-fault records in CU-index order, account the dispatch to
+    /// its kernel, and flush the metrics plane. Returns the CU cycles the
+    /// dispatch took (max across CUs; zero on the fast tier, which has no
+    /// clock).
     fn finish_dispatch(&mut self, idx: usize, before: &[u64]) -> u64 {
         if !self.config.faults.cu.is_empty() {
             for cu in &mut self.cus {
@@ -1051,15 +1055,21 @@ impl System {
     ///
     /// The preempted execution is bit-identical to an uninterrupted
     /// [`System::dispatch`] — same memory contents, same cycle counts —
-    /// whatever the quantum: shards keep private epoch views across
-    /// pauses and deltas commit in CU order only at completion.
+    /// whatever the quantum or worker count: it is the same loop
+    /// [`System::dispatch`] runs with an unbounded quantum, shards keep
+    /// private epoch views across pauses, and deltas commit in CU order
+    /// only at completion. The fast tiers ([`ExecMode::Fast`],
+    /// [`ExecMode::FastWithTiming`]) have no checkpointable state, so
+    /// they run whole and return [`DispatchProgress::Complete`] from this
+    /// first call.
     ///
     /// # Errors
     ///
     /// As [`System::dispatch`]; additionally fails when a paused dispatch
     /// is already in flight or tracing is enabled (preemptible dispatch
-    /// requires [`TraceMode::Off`]). A CU failure mid-quantum aborts the
-    /// whole dispatch: no shard's writes become visible.
+    /// requires [`TraceMode::Off`]). A CU failure aborts the whole
+    /// dispatch: finished shards before the first failing CU commit, as
+    /// in an uninterrupted dispatch, and nothing else becomes visible.
     pub fn dispatch_preemptible(
         &mut self,
         grid: [u32; 3],
@@ -1079,52 +1089,10 @@ impl System {
         grid: [u32; 3],
         quantum: u64,
     ) -> Result<DispatchProgress, SystemError> {
-        if self.paused.is_some() {
-            return Err(preemption("a paused preemptible dispatch is in flight"));
-        }
         if self.config.trace != TraceMode::Off {
             return Err(preemption("preemptible dispatch requires TraceMode::Off"));
         }
-        // Checkpoints serialise cycle-accurate pipeline state; the fast
-        // tier has none, so refuse up front rather than silently taking
-        // wrong-cycle checkpoints.
-        if self.config.exec != ExecMode::Cycle {
-            return Err(SystemError::Snap(SnapError::UnsupportedExecMode));
-        }
-        let (launch, assignments) = self.plan_dispatch(idx, grid)?;
-        // Load the kernel and clear retired waves on every CU up front
-        // (the run-to-completion path does this lazily per batch) so a
-        // checkpoint only ever holds waves of the in-flight kernel.
-        for cu in &mut self.cus {
-            cu.load_kernel(&launch.kernel)?;
-            cu.clear_waves();
-        }
-        let before: Vec<u64> = self.cus.iter().map(ComputeUnit::now).collect();
-        // Every shard's epoch view is seeded from the same pre-dispatch
-        // base, exactly as the run-to-completion schedulers see it.
-        let epochs: Vec<Option<EpochState>> = self
-            .cus
-            .iter()
-            .map(|_| Some(self.mem.epoch().suspend()))
-            .collect();
-        let cursors = vec![
-            ShareCursor {
-                loaded: true,
-                next_wg: 0,
-                mid_batch: false,
-            };
-            self.cus.len()
-        ];
-        self.paused = Some(PausedDispatch {
-            kernel_idx: idx,
-            grid,
-            launch,
-            assignments,
-            cursors,
-            epochs,
-            before,
-        });
-        self.dispatch_step(quantum)
+        self.start_dispatch(idx, grid, quantum)
     }
 
     /// Run one more quantum of the paused preemptible dispatch.
@@ -1132,12 +1100,13 @@ impl System {
     /// # Errors
     ///
     /// Fails when no dispatch is paused; propagates CU failures, which
-    /// abort the dispatch (no shard's writes become visible).
+    /// abort the dispatch as [`System::dispatch_preemptible`] describes.
     pub fn resume_dispatch(&mut self, quantum: u64) -> Result<DispatchProgress, SystemError> {
-        if self.paused.is_none() {
-            return Err(preemption("no paused dispatch to resume"));
-        }
-        self.dispatch_step(quantum)
+        let p = self
+            .paused
+            .take()
+            .ok_or_else(|| preemption("no paused dispatch to resume"))?;
+        self.step(p, quantum)
     }
 
     /// A preemptible dispatch is currently paused between quanta.
@@ -1153,48 +1122,6 @@ impl System {
     #[must_use]
     pub fn per_cu_instructions(&self) -> Vec<u64> {
         self.cus.iter().map(|cu| cu.stats().instructions).collect()
-    }
-
-    /// One quantum: advance every unfinished shard by up to `quantum` CU
-    /// cycles against its private epoch view, then either park the
-    /// dispatch again or commit and finish it.
-    fn dispatch_step(&mut self, quantum: u64) -> Result<DispatchProgress, SystemError> {
-        let quantum = quantum.max(1);
-        let mut p = self
-            .paused
-            .take()
-            .expect("callers ensure a paused dispatch");
-        let mut all_done = true;
-        for (ci, cu) in self.cus.iter_mut().enumerate() {
-            let wgs = p.assignments[ci].as_slice();
-            if p.cursors[ci].finished(wgs.len()) {
-                continue;
-            }
-            let state = p.epochs[ci]
-                .take()
-                .expect("unfinished shards keep an epoch");
-            let mut view = self.mem.epoch_resume(state);
-            // A `?` here aborts the whole dispatch: the paused state was
-            // taken, so no shard's writes ever become visible.
-            let done =
-                run_cu_share_slice(cu, &p.launch, wgs, &mut view, &mut p.cursors[ci], quantum)?;
-            p.epochs[ci] = Some(view.suspend());
-            all_done &= done;
-        }
-        if !all_done {
-            self.paused = Some(p);
-            return Ok(DispatchProgress::Paused);
-        }
-        // Deterministic commit in CU-index order — the same order the
-        // run-to-completion scheduler applies deltas.
-        for slot in &mut p.epochs {
-            let state = slot
-                .take()
-                .expect("every shard holds an epoch at completion");
-            self.mem.commit(state.into_delta());
-        }
-        let spent = self.finish_dispatch(p.kernel_idx, &p.before);
-        Ok(DispatchProgress::Complete { cycles: spent })
     }
 
     /// Serialise the entire machine — memory image, CU architectural
@@ -1343,6 +1270,7 @@ impl System {
             cursors: ck.paused.cursors.clone(),
             epochs: ck.paused.epochs.clone(),
             before: ck.paused.before.clone(),
+            shadow: None,
         });
         // Registry counters are process-cumulative while the restored
         // simulator counters carry the whole run's history: seed the
@@ -1369,54 +1297,14 @@ impl System {
         Ok(sys)
     }
 
-    /// Resolve [`SystemConfig::workers`]: `0` means one per available core.
-    fn effective_workers(&self) -> usize {
-        match self.config.workers {
+    /// Threads the shard scheduler uses: [`SystemConfig::workers`] (`0`
+    /// means one per available core), at most one per CU.
+    fn shard_workers(&self) -> usize {
+        let workers = match self.config.workers {
             0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             n => n,
-        }
-    }
-
-    /// Run the dispatch's CU shards on `workers` scoped threads with
-    /// work-stealing over the shard list. Returns one outcome slot per CU,
-    /// in CU-index order.
-    fn run_shards_parallel(
-        &mut self,
-        launch: &Launch,
-        assignments: &[Vec<[u32; 3]>],
-        workers: usize,
-    ) -> Vec<ShardOutcome> {
-        let mem = &self.mem;
-        let shards: Vec<ShardSlot<'_>> = self
-            .cus
-            .iter_mut()
-            .zip(assignments)
-            .enumerate()
-            .map(|(ci, (cu, wgs))| Mutex::new(Some((ci, cu, wgs.as_slice()))))
-            .collect();
-        let outcomes: Vec<Mutex<ShardOutcome>> =
-            (0..shards.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(shards.len()) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = shards.get(i) else { break };
-                    let (ci, cu, wgs) = slot
-                        .lock()
-                        .expect("shard slot lock")
-                        .take()
-                        .expect("each shard is claimed exactly once");
-                    let mut view = mem.epoch();
-                    let res = run_cu_share(cu, launch, wgs, &mut view);
-                    *outcomes[ci].lock().expect("outcome slot lock") = Some((res, view.finish()));
-                });
-            }
-        });
-        outcomes
-            .into_iter()
-            .map(|m| m.into_inner().expect("outcome lock"))
-            .collect()
+        };
+        workers.min(self.cus.len()).max(1)
     }
 
     /// Cumulative measurements since construction.
@@ -1662,17 +1550,17 @@ impl SysMetrics {
     }
 }
 
-/// What one CU shard hands back to the dispatcher: its run result plus the
-/// epoch delta to commit. `None` until the shard has run.
-type ShardOutcome = Option<(Result<(), SystemError>, EpochDelta)>;
+/// One CU's shard of a dispatch, borrowed for a turn on the scheduler.
+struct Shard<'a> {
+    cu: &'a mut ComputeUnit,
+    wgs: &'a [[u32; 3]],
+    cursor: &'a mut ShareCursor,
+    epoch: &'a mut Option<EpochState>,
+}
 
-/// One fast-tier share's outcome: its statistics (or failure) plus the
-/// epoch delta it produced.
-type FastShardOutcome = Option<(Result<FastStats, SystemError>, EpochDelta)>;
-
-/// A claimable shard: one CU and its workgroup share, taken exactly once
-/// by whichever worker gets there first.
-type ShardSlot<'a> = Mutex<Option<(usize, &'a mut ComputeUnit, &'a [[u32; 3]])>>;
+/// A self-checking dispatch's fast-tier run: its counters and uncommitted
+/// per-CU deltas, or its first failure in CU order.
+type FastShadow = Result<(FastStats, Vec<EpochDelta>), SystemError>;
 
 /// Everything a CU shard needs to launch its workgroups — immutable, so
 /// worker threads share it by reference.
@@ -1684,6 +1572,86 @@ struct Launch {
     cb0: u64,
     args_addr: u64,
     args_len: u64,
+}
+
+impl Launch {
+    /// The launch ABI of wave `w` of workgroup `wg_id` (see [`abi`]):
+    /// buffer descriptors, workgroup ids, work-item ids and the tail exec
+    /// mask. The one register list both tiers program.
+    fn wave_init(&self, workgroup: usize, wg_id: [u32; 3], w: usize) -> WaveInit {
+        let lane_base = (w * WAVEFRONT_SIZE) as u32;
+        let active = (self.wg_size - lane_base).min(WAVEFRONT_SIZE as u32);
+        let exec = if active >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << active) - 1
+        };
+        let tids: Vec<u32> = (0..WAVEFRONT_SIZE as u32).map(|l| lane_base + l).collect();
+        let mut vgprs = vec![(u32::from(abi::TID_X), tids)];
+        // v1/v2 carry the work-item Y/Z ids. This dispatcher launches 1-D
+        // workgroups, so both are zero — written explicitly, but only when
+        // the kernel's VGPR budget covers the register.
+        for tid in [abi::TID_Y, abi::TID_Z] {
+            if u32::from(tid) < u32::from(self.kernel.meta().vgprs) {
+                vgprs.push((u32::from(tid), vec![0; WAVEFRONT_SIZE]));
+            }
+        }
+        WaveInit {
+            workgroup,
+            exec,
+            sgprs: vec![
+                // IMM_UAV: base 0, unbounded records.
+                (u32::from(abi::UAV_DESC), 0),
+                (u32::from(abi::UAV_DESC) + 1, 0),
+                (u32::from(abi::UAV_DESC) + 2, 0),
+                (u32::from(abi::UAV_DESC) + 3, 0),
+                // IMM_CONST_BUFFER0.
+                (u32::from(abi::CONST_BUF0), self.cb0 as u32),
+                (u32::from(abi::CONST_BUF0) + 1, (self.cb0 >> 32) as u32),
+                (u32::from(abi::CONST_BUF0) + 2, 64),
+                (u32::from(abi::CONST_BUF0) + 3, 0),
+                // IMM_CONST_BUFFER1.
+                (u32::from(abi::CONST_BUF1), self.args_addr as u32),
+                (
+                    u32::from(abi::CONST_BUF1) + 1,
+                    (self.args_addr >> 32) as u32,
+                ),
+                (u32::from(abi::CONST_BUF1) + 2, self.args_len as u32),
+                (u32::from(abi::CONST_BUF1) + 3, 0),
+                // Workgroup ids.
+                (u32::from(abi::WG_ID_X), wg_id[0]),
+                (u32::from(abi::WG_ID_Y), wg_id[1]),
+                (u32::from(abi::WG_ID_Z), wg_id[2]),
+            ],
+            vgprs,
+        }
+    }
+}
+
+/// Validate a launch grid for `workgroup_size`-item workgroups: the total
+/// workgroup count must be non-zero and fit `u64`, and the global X size
+/// (`grid[0] * workgroup_size`, published to kernels as a 32-bit OpenCL
+/// call value) must fit `u32`. Serve runs the same check at admission,
+/// so a wire-supplied grid is refused before it is queued.
+///
+/// # Errors
+///
+/// [`SystemError::EmptyDispatch`] for a zero-sized grid or workgroup;
+/// [`SystemError::GridOverflow`] when a count overflows.
+pub fn check_grid(grid: [u32; 3], workgroup_size: u32) -> Result<(), SystemError> {
+    let overflow = || SystemError::GridOverflow {
+        grid,
+        workgroup_size,
+    };
+    let total = u64::from(grid[0])
+        .checked_mul(u64::from(grid[1]))
+        .and_then(|n| n.checked_mul(u64::from(grid[2])))
+        .ok_or_else(overflow)?;
+    if total == 0 || workgroup_size == 0 {
+        return Err(SystemError::EmptyDispatch);
+    }
+    grid[0].checked_mul(workgroup_size).ok_or_else(overflow)?;
+    Ok(())
 }
 
 /// Build [`SystemError::Preemption`] from a static description.
@@ -1712,7 +1680,9 @@ pub enum DispatchProgress {
 /// continue exactly where the previous quantum stopped.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct ShareCursor {
-    /// The CU's instruction memory holds this dispatch's kernel.
+    /// The CU's instruction memory holds this dispatch's kernel. Always
+    /// true (every CU loads the kernel before the first turn); kept so
+    /// checkpoints keep their byte format.
     loaded: bool,
     /// Index of the next unlaunched workgroup in the CU's share.
     next_wg: u64,
@@ -1723,7 +1693,7 @@ struct ShareCursor {
 impl ShareCursor {
     /// The shard has launched and retired every workgroup of its share.
     fn finished(&self, share: usize) -> bool {
-        self.loaded && !self.mid_batch && self.next_wg as usize >= share
+        !self.mid_batch && self.next_wg as usize >= share
     }
 }
 
@@ -1744,6 +1714,27 @@ struct PausedDispatch {
     epochs: Vec<Option<EpochState>>,
     /// Per-CU cycle counters at dispatch entry.
     before: Vec<u64>,
+    /// A self-checking dispatch's fast-tier run, checked against the
+    /// cycle pipeline at completion. Never set while paused: such
+    /// dispatches run whole.
+    shadow: Option<FastShadow>,
+}
+
+impl PausedDispatch {
+    /// Start every shard afresh: cursors at the first workgroup, epoch
+    /// views seeded from `mem`'s current image.
+    fn reset_shards(&mut self, mem: &SharedMemory) {
+        let n = self.assignments.len();
+        self.cursors = vec![
+            ShareCursor {
+                loaded: true,
+                next_wg: 0,
+                mid_batch: false,
+            };
+            n
+        ];
+        self.epochs = (0..n).map(|_| Some(mem.epoch().suspend())).collect();
+    }
 }
 
 /// Serializable form of [`PausedDispatch`]: the launch is rebuilt from
@@ -1799,68 +1790,17 @@ impl SystemCheckpoint {
 }
 
 /// Clear the CU's retired waves and launch one batch of workgroups,
-/// writing the full launch ABI (buffer descriptors, workgroup and
-/// work-item ids) into every wave.
+/// writing the full launch ABI into every wave.
 fn load_batch(
     cu: &mut ComputeUnit,
     launch: &Launch,
     batch: &[[u32; 3]],
 ) -> Result<(), SystemError> {
-    let wg_size = launch.wg_size;
     cu.clear_waves();
     for &wg_id in batch {
         let wg = cu.add_workgroup();
         for w in 0..launch.waves_per_wg {
-            let lane_base = (w * WAVEFRONT_SIZE) as u32;
-            let active = (wg_size - lane_base).min(WAVEFRONT_SIZE as u32);
-            if active == 0 {
-                break;
-            }
-            let exec = if active >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << active) - 1
-            };
-            let tids: Vec<u32> = (0..WAVEFRONT_SIZE as u32).map(|l| lane_base + l).collect();
-            let mut vgprs = vec![(u32::from(abi::TID_X), tids)];
-            // v1/v2 carry the work-item Y/Z ids. This dispatcher
-            // launches 1-D workgroups, so both are zero — written
-            // explicitly, but only when the kernel's VGPR budget
-            // covers the register.
-            for tid in [abi::TID_Y, abi::TID_Z] {
-                if u32::from(tid) < u32::from(launch.kernel.meta().vgprs) {
-                    vgprs.push((u32::from(tid), vec![0; WAVEFRONT_SIZE]));
-                }
-            }
-            cu.start_wave(WaveInit {
-                workgroup: wg,
-                exec,
-                sgprs: vec![
-                    // IMM_UAV: base 0, unbounded records.
-                    (u32::from(abi::UAV_DESC), 0),
-                    (u32::from(abi::UAV_DESC) + 1, 0),
-                    (u32::from(abi::UAV_DESC) + 2, 0),
-                    (u32::from(abi::UAV_DESC) + 3, 0),
-                    // IMM_CONST_BUFFER0.
-                    (u32::from(abi::CONST_BUF0), launch.cb0 as u32),
-                    (u32::from(abi::CONST_BUF0) + 1, (launch.cb0 >> 32) as u32),
-                    (u32::from(abi::CONST_BUF0) + 2, 64),
-                    (u32::from(abi::CONST_BUF0) + 3, 0),
-                    // IMM_CONST_BUFFER1.
-                    (u32::from(abi::CONST_BUF1), launch.args_addr as u32),
-                    (
-                        u32::from(abi::CONST_BUF1) + 1,
-                        (launch.args_addr >> 32) as u32,
-                    ),
-                    (u32::from(abi::CONST_BUF1) + 2, launch.args_len as u32),
-                    (u32::from(abi::CONST_BUF1) + 3, 0),
-                    // Workgroup ids.
-                    (u32::from(abi::WG_ID_X), wg_id[0]),
-                    (u32::from(abi::WG_ID_Y), wg_id[1]),
-                    (u32::from(abi::WG_ID_Z), wg_id[2]),
-                ],
-                vgprs,
-            })?;
+            cu.start_wave(launch.wave_init(wg, wg_id, w))?;
         }
     }
     Ok(())
@@ -1878,10 +1818,6 @@ fn run_cu_share_slice(
     cursor: &mut ShareCursor,
     budget: u64,
 ) -> Result<bool, SystemError> {
-    if !cursor.loaded {
-        cu.load_kernel(&launch.kernel)?;
-        cursor.loaded = true;
-    }
     let max_waves = usize::from(cu.config().max_wavefronts);
     let wgs_per_batch = (max_waves / launch.waves_per_wg).max(1);
     let entry = cu.now();
@@ -1907,35 +1843,11 @@ fn run_cu_share_slice(
     }
 }
 
-/// Run one CU's shard of a dispatch epoch against its private memory view.
-///
-/// This is the unit of work both schedulers share: the serial path calls
-/// it CU by CU, the parallel path hands it to worker threads. Its effects
-/// are a pure function of `(CU state, launch, workgroups, epoch-start
-/// memory)` — the invariant behind the engine's determinism guarantee.
-/// It is the unbounded-budget special case of [`run_cu_share_slice`],
-/// which the preemptible dispatcher drives quantum by quantum.
-fn run_cu_share(
-    cu: &mut ComputeUnit,
-    launch: &Launch,
-    wgs: &[[u32; 3]],
-    mem: &mut EpochMemory<'_>,
-) -> Result<(), SystemError> {
-    let mut cursor = ShareCursor {
-        loaded: false,
-        next_wg: 0,
-        mid_batch: false,
-    };
-    let done = run_cu_share_slice(cu, launch, wgs, mem, &mut cursor, u64::MAX)?;
-    debug_assert!(done, "an unbounded budget always completes the shard");
-    Ok(())
-}
-
 /// Run one CU's shard of a fast-tier dispatch: the same workgroup share
-/// and launch ABI as [`run_cu_share`] — identical register images, exec
-/// masks, and per-workgroup LDS — executed by the block-compiled program
-/// instead of the cycle pipeline. `cfg` supplies the CU's wavefront and
-/// fuel limits so the fast tier refuses exactly what the pipeline would.
+/// and launch ABI as the cycle pipeline — identical register images, exec
+/// masks, and per-workgroup LDS — executed by the block-compiled program.
+/// `cfg` supplies the CU's wavefront and fuel limits so the fast tier
+/// refuses exactly what the pipeline would.
 fn run_fast_share(
     prog: &Program,
     launch: &Launch,
@@ -1949,61 +1861,13 @@ fn run_fast_share(
     let mut lds = vec![0u32; prog.lds_words()];
     for &wg_id in wgs {
         lds.fill(0);
-        let mut slots: Vec<WaveSlot> = Vec::new();
+        let mut slots: Vec<WaveSlot> = Vec::with_capacity(launch.waves_per_wg);
         for w in 0..launch.waves_per_wg {
-            let lane_base = (w * WAVEFRONT_SIZE) as u32;
-            let active = (launch.wg_size - lane_base).min(WAVEFRONT_SIZE as u32);
-            if active == 0 {
-                break;
-            }
-            if slots.len() >= usize::from(cfg.max_wavefronts) {
+            if w >= usize::from(cfg.max_wavefronts) {
                 return Err(CuError::TooManyWavefronts.into());
             }
-            let exec = if active >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << active) - 1
-            };
             let mut wave = Wavefront::new(w, 0, usize::from(meta.sgprs), usize::from(meta.vgprs));
-            wave.exec = exec;
-            for (r, v) in [
-                // IMM_UAV: base 0, unbounded records.
-                (u32::from(abi::UAV_DESC), 0),
-                (u32::from(abi::UAV_DESC) + 1, 0),
-                (u32::from(abi::UAV_DESC) + 2, 0),
-                (u32::from(abi::UAV_DESC) + 3, 0),
-                // IMM_CONST_BUFFER0.
-                (u32::from(abi::CONST_BUF0), launch.cb0 as u32),
-                (u32::from(abi::CONST_BUF0) + 1, (launch.cb0 >> 32) as u32),
-                (u32::from(abi::CONST_BUF0) + 2, 64),
-                (u32::from(abi::CONST_BUF0) + 3, 0),
-                // IMM_CONST_BUFFER1.
-                (u32::from(abi::CONST_BUF1), launch.args_addr as u32),
-                (
-                    u32::from(abi::CONST_BUF1) + 1,
-                    (launch.args_addr >> 32) as u32,
-                ),
-                (u32::from(abi::CONST_BUF1) + 2, launch.args_len as u32),
-                (u32::from(abi::CONST_BUF1) + 3, 0),
-                // Workgroup ids.
-                (u32::from(abi::WG_ID_X), wg_id[0]),
-                (u32::from(abi::WG_ID_Y), wg_id[1]),
-                (u32::from(abi::WG_ID_Z), wg_id[2]),
-            ] {
-                wave.set_sgpr(r, v)?;
-            }
-            for lane in 0..WAVEFRONT_SIZE {
-                wave.set_vgpr(u32::from(abi::TID_X), lane, lane_base + lane as u32)?;
-            }
-            // 1-D workgroups: Y/Z work-item ids are zero, written only when
-            // the kernel's VGPR budget covers the register.
-            for tid in [abi::TID_Y, abi::TID_Z] {
-                if u32::from(tid) < u32::from(meta.vgprs) {
-                    for lane in 0..WAVEFRONT_SIZE {
-                        wave.set_vgpr(u32::from(tid), lane, 0)?;
-                    }
-                }
-            }
+            launch.wave_init(0, wg_id, w).apply(&mut wave)?;
             slots.push(WaveSlot::new(prog, wave));
         }
         run_workgroup(prog, &mut slots, &mut lds, mem, &mut stats, &mut fuel)?;
@@ -2175,16 +2039,33 @@ mod tests {
     }
 
     #[test]
-    fn preemptible_dispatch_rejects_fast_tiers() {
+    fn preemptible_dispatch_completes_fast_tiers_in_one_call() {
+        // The fast tiers have no checkpointable state: even a tiny quantum
+        // runs them whole, exactly as `dispatch` would.
         for exec in [ExecMode::Fast, ExecMode::FastWithTiming] {
+            let (want_out, want_cycles, want_report, want_stats) =
+                run_add_one_exec(exec, 2, 512, 64, 1);
             let kernel = add_one_kernel(64);
-            let config = SystemConfig::preset(SystemKind::DcdPm).with_exec(exec);
+            let config = SystemConfig::preset(SystemKind::DcdPm)
+                .with_cus(2)
+                .unwrap()
+                .with_exec(exec);
             let mut sys = System::new(config, &kernel).unwrap();
-            let a_in = sys.alloc(64 * 4);
-            let a_out = sys.alloc(64 * 4);
+            let input: Vec<u32> = (0..512).map(|i| i * 3).collect();
+            let a_in = sys.alloc_words(&input);
+            let a_out = sys.alloc(512 * 4);
             sys.set_args(&[a_in as u32, a_out as u32]);
-            let err = sys.dispatch_preemptible([1, 1, 1], 100).unwrap_err();
-            assert_eq!(err, SystemError::Snap(SnapError::UnsupportedExecMode));
+            assert_eq!(
+                sys.dispatch_preemptible([8, 1, 1], 1).unwrap(),
+                DispatchProgress::Complete {
+                    cycles: want_cycles
+                },
+                "{exec:?}"
+            );
+            assert!(!sys.is_paused());
+            assert_eq!(sys.read_words(a_out, 512), want_out, "{exec:?}");
+            assert_eq!(sys.report(), want_report, "{exec:?}");
+            assert_eq!(sys.fast_stats(0).cloned(), want_stats, "{exec:?}");
         }
     }
 
@@ -2351,6 +2232,17 @@ mod tests {
         assert_eq!(sys.dispatch([1, 1, 1]), Err(SystemError::ArgsNotSet));
         sys.set_args(&[0, 0]);
         assert_eq!(sys.dispatch([0, 1, 1]), Err(SystemError::EmptyDispatch));
+        // Grids overflowing the workgroup count or the 32-bit global size
+        // are refused before any workgroup is planned.
+        for grid in [[u32::MAX, 1, 1], [u32::MAX; 3]] {
+            assert_eq!(
+                sys.dispatch(grid),
+                Err(SystemError::GridOverflow {
+                    grid,
+                    workgroup_size: 64
+                })
+            );
+        }
     }
 
     #[test]
@@ -2549,21 +2441,24 @@ mod tests {
         // and cycle accounting.
         let kernel = add_one_kernel(64);
         let n = 2048u32;
-        let build = |kernel: &Kernel| {
-            let config = SystemConfig::preset(SystemKind::DcdPm).with_cus(3).unwrap();
-            let mut sys = System::new(config, kernel).unwrap();
+        let build = |cus: u8, workers: usize| {
+            let config = SystemConfig::preset(SystemKind::DcdPm)
+                .with_cus(cus)
+                .unwrap()
+                .with_workers(workers);
+            let mut sys = System::new(config, &kernel).unwrap();
             let input: Vec<u32> = (0..n).map(|i| i.wrapping_mul(7)).collect();
             let a_in = sys.alloc_words(&input);
             let a_out = sys.alloc(u64::from(n) * 4);
             sys.set_args(&[a_in as u32, a_out as u32]);
             (sys, a_out)
         };
-        let (mut reference, ref_out) = build(&kernel);
+        let (mut reference, ref_out) = build(3, 1);
         let ref_cycles = reference.dispatch([n / 64, 1, 1]).unwrap();
         let ref_words = reference.read_words(ref_out, n as usize);
         let ref_report = reference.report();
 
-        let (mut sys, a_out) = build(&kernel);
+        let (mut sys, a_out) = build(3, 1);
         let mut progress = sys.dispatch_preemptible([n / 64, 1, 1], 20).unwrap();
         let mut pauses = 0u32;
         let cycles = loop {
@@ -2592,6 +2487,25 @@ mod tests {
         assert_eq!(report.per_kernel_cycles, ref_report.per_kernel_cycles);
         assert_eq!(report.global_accesses, ref_report.global_accesses);
         assert_eq!(report.prefetch_hits, ref_report.prefetch_hits);
+
+        // Bounded quanta share the shard scheduler: four CUs sliced
+        // in-process on four workers match the serial unbounded run.
+        let (mut reference, ref_out) = build(4, 1);
+        let ref_cycles = reference.dispatch([n / 64, 1, 1]).unwrap();
+        let (mut sys, a_out) = build(4, 4);
+        let mut progress = sys.dispatch_preemptible([n / 64, 1, 1], 20).unwrap();
+        let mut pauses = 0u32;
+        while progress == DispatchProgress::Paused {
+            pauses += 1;
+            progress = sys.resume_dispatch(20).unwrap();
+        }
+        assert!(pauses > 1, "quantum too coarse to exercise preemption");
+        assert_eq!(progress, DispatchProgress::Complete { cycles: ref_cycles });
+        assert_eq!(
+            sys.read_words(a_out, n as usize),
+            reference.read_words(ref_out, n as usize)
+        );
+        assert_eq!(sys.report(), reference.report());
     }
 
     #[test]

@@ -180,11 +180,7 @@ fn metrics_warmup() -> Result<(), String> {
 
 /// Parse `<flag> N` (decimal or `0x` hex) from the argument list.
 fn flag_u64(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
-    match args
-        .iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-    {
+    match flag_value(args, flag) {
         None => Ok(default),
         Some(v) => {
             let parsed = match v.strip_prefix("0x") {
@@ -194,6 +190,12 @@ fn flag_u64(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
             parsed.map_err(|_| format!("{flag}: `{v}` is not a number"))
         }
     }
+}
+
+/// [`flag_u64`] narrowed to `u32`.
+fn flag_u32(args: &[String], flag: &str, default: u32) -> Result<u32, String> {
+    let v = flag_u64(args, flag, u64::from(default))?;
+    u32::try_from(v).map_err(|_| format!("{flag}: `{v}` is out of range"))
 }
 
 /// Value of `<flag> VALUE` from the argument list, if present.
@@ -222,10 +224,7 @@ fn real_main() -> Result<(), String> {
         "assemble" => {
             let path = path.ok_or("usage: scratch-tool assemble <file.s> [-o out.json]")?;
             let kernel = load_kernel(&path)?;
-            let out = args
-                .iter()
-                .position(|a| a == "-o")
-                .and_then(|i| args.get(i + 1))
+            let out = flag_value(&args, "-o")
                 .cloned()
                 .unwrap_or_else(|| format!("{}.kernel.json", kernel.name()));
             std::fs::write(&out, serde_json::to_string_pretty(&kernel).unwrap())
@@ -306,35 +305,18 @@ fn real_main() -> Result<(), String> {
         "run" => {
             let path = path.ok_or("usage: scratch-tool run <file.s> [--system ...]")?;
             let kernel = load_kernel(&path)?;
-            let kind = match args
-                .iter()
-                .position(|a| a == "--system")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-            {
+            let kind = match flag_value(&args, "--system").map(String::as_str) {
                 Some("original") => SystemKind::Original,
                 Some("dcd") => SystemKind::Dcd,
                 None | Some("dcdpm") => SystemKind::DcdPm,
                 Some(other) => return Err(format!("unknown system `{other}`")),
             };
-            let parse_n = |flag: &str, default: u32| -> u32 {
-                args.iter()
-                    .position(|a| a == flag)
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(default)
-            };
-            let wgs = parse_n("--wgs", 1);
-            let out_words = parse_n("--out-words", 16) as usize;
+            let wgs = flag_u32(&args, "--wgs", 1)?;
+            let out_words = flag_u32(&args, "--out-words", 16)? as usize;
             // 0 = one worker per available core (the default); any count
             // yields bit-identical simulated results.
-            let jobs = parse_n("--jobs", 0) as usize;
-            let exec = match args
-                .iter()
-                .position(|a| a == "--exec")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-            {
+            let jobs = flag_u32(&args, "--jobs", 0)? as usize;
+            let exec = match flag_value(&args, "--exec").map(String::as_str) {
                 None | Some("cycle") => ExecMode::Cycle,
                 Some("fast") => ExecMode::Fast,
                 Some("fast-timing") => ExecMode::FastWithTiming,
@@ -369,10 +351,7 @@ fn real_main() -> Result<(), String> {
             println!("out[0..{out_words}] = {:?}", sys.read_words(out, out_words));
             if args.iter().any(|a| a == "--metrics") {
                 println!("{}", metrics_summary(&report.stats, sys.config()));
-                let out_path = args
-                    .iter()
-                    .position(|a| a == "--metrics-out")
-                    .and_then(|i| args.get(i + 1))
+                let out_path = flag_value(&args, "--metrics-out")
                     .cloned()
                     .unwrap_or_else(|| "scratch-metrics.jsonl".to_owned());
                 let snapshot = scratch::metrics::global().snapshot();
@@ -396,7 +375,7 @@ fn real_main() -> Result<(), String> {
                 Some("fast") => ExecMode::Fast,
                 Some(other) => return Err(format!("profile: unknown exec tier `{other}`")),
             };
-            let wgs = u32::try_from(flag_u64(&args, "--wgs", 1)?).unwrap_or(1);
+            let wgs = flag_u32(&args, "--wgs", 1)?;
             let config = SystemConfig::preset(kind)
                 .with_exec(exec)
                 .with_profile(true);
@@ -433,19 +412,7 @@ fn real_main() -> Result<(), String> {
         }
         "trace" => {
             let file = args.get(1).filter(|a| !a.starts_with("--")).cloned();
-            let parse_n = |flag: &str, default: u32| -> u32 {
-                args.iter()
-                    .position(|a| a == flag)
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(default)
-            };
-            let kinds = match args
-                .iter()
-                .position(|a| a == "--system")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-            {
+            let kinds = match flag_value(&args, "--system").map(String::as_str) {
                 Some("original") => vec![SystemKind::Original],
                 Some("dcd") => vec![SystemKind::Dcd],
                 Some("dcdpm") => vec![SystemKind::DcdPm],
@@ -454,11 +421,9 @@ fn real_main() -> Result<(), String> {
                 }
                 Some(other) => return Err(format!("unknown system `{other}`")),
             };
-            let n = parse_n("--n", 32);
-            let out_dir = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1))
+            let n = flag_u32(&args, "--n", 32)?;
+            let wgs = flag_u32(&args, "--wgs", 1)?;
+            let out_dir = flag_value(&args, "--out")
                 .cloned()
                 .unwrap_or_else(|| ".".to_owned());
 
@@ -469,8 +434,7 @@ fn real_main() -> Result<(), String> {
                     let mut sys = System::new(config, &kernel).map_err(|e| e.to_string())?;
                     let out = sys.alloc(1 << 20);
                     sys.set_args(&[out as u32]);
-                    sys.dispatch([parse_n("--wgs", 1), 1, 1])
-                        .map_err(|e| e.to_string())?;
+                    sys.dispatch([wgs, 1, 1]).map_err(|e| e.to_string())?;
                     write_trace(&out_dir, kernel.name(), kind, &sys.report())?;
                 } else {
                     for fp in [false, true] {
@@ -511,21 +475,12 @@ fn real_main() -> Result<(), String> {
                 }
                 return Ok(());
             }
-            let oracles = match args
-                .iter()
-                .position(|a| a == "--oracle")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-            {
+            let oracles = match flag_value(&args, "--oracle").map(String::as_str) {
                 None | Some("all") => OracleKind::ALL.to_vec(),
                 Some(name) => vec![OracleKind::parse(name)
                     .ok_or_else(|| format!("unknown oracle `{name}` (see `scratch-tool help`)"))?],
             };
-            let server = match args
-                .iter()
-                .position(|a| a == "--metrics-addr")
-                .and_then(|i| args.get(i + 1))
-            {
+            let server = match flag_value(&args, "--metrics-addr") {
                 None => None,
                 Some(addr) => {
                     let server =
@@ -917,10 +872,7 @@ fn real_main() -> Result<(), String> {
                 print!("{}", prometheus::render(&registry.snapshot()));
                 return Ok(());
             }
-            let addr = args
-                .iter()
-                .position(|a| a == "--addr")
-                .and_then(|i| args.get(i + 1))
+            let addr = flag_value(&args, "--addr")
                 .cloned()
                 .unwrap_or_else(|| "127.0.0.1:9184".to_owned());
             let server = MetricsServer::serve(addr.as_str(), registry)
