@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use scratch_isa::{Fields, Format, Instruction, Opcode, Operand, SmrdOffset};
+use scratch_isa::{Fields, Format, Instruction, Opcode, Operand, Roles, SmrdOffset};
 
 use crate::{AsmError, Kernel};
 
@@ -176,7 +176,7 @@ pub(crate) fn format_inst(
             }
         }
         Fields::Vop1 { vdst, src0 } => {
-            if inst.opcode == Opcode::VReadfirstlaneB32 {
+            if inst.opcode.roles().contains(Roles::SDST) {
                 // Destination is an SGPR carried in the vdst field.
                 format!("{mn} s{vdst}, {}", operand_src(src0, 1))
             } else {
@@ -261,7 +261,7 @@ pub(crate) fn format_inst(
                 } else {
                     format!("{mn} v{addr}, v{data0}")
                 }
-            } else if matches!(inst.opcode, Opcode::DsReadB32 | Opcode::DsRead2B32) {
+            } else if inst.opcode.roles().contains(Roles::LOAD) {
                 if two {
                     format!("{mn} {}, v{addr}", vgroup(vdst, 2))
                 } else {

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use scratch_isa::{Fields, Format, Instruction, Opcode, Operand, SmrdOffset};
+use scratch_isa::{Fields, Format, Instruction, Opcode, Operand, Roles, SmrdOffset};
 
 use crate::builder::waitcnt_imm;
 use crate::{AsmError, Kernel, KernelBuilder};
@@ -553,7 +553,7 @@ fn parse_instruction(
                 return Err(operr(2));
             }
             let dst = op_at(0)?;
-            let vdst = if opcode == Opcode::VReadfirstlaneB32 {
+            let vdst = if opcode.roles().contains(Roles::SDST) {
                 expect_sgpr(dst, lineno)?
             } else {
                 expect_vgpr(dst, lineno)?
@@ -620,7 +620,7 @@ fn parse_instruction(
                         0,
                     )
                 }
-            } else if matches!(opcode, Opcode::DsReadB32 | Opcode::DsRead2B32) {
+            } else if opcode.roles().contains(Roles::LOAD) {
                 if ops.len() != 2 {
                     return Err(operr(2));
                 }

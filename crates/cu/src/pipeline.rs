@@ -2,7 +2,7 @@
 //! functional executor.
 
 use scratch_asm::{Kernel, KernelMeta};
-use scratch_isa::{Fields, FuncUnit, Instruction, Opcode, Operand, WAVEFRONT_SIZE};
+use scratch_isa::{Fields, FuncUnit, Instruction, Opcode, Reg, Roles, WAVEFRONT_SIZE};
 use scratch_snap::{CuSnapshot, WaveSnapshot, WorkgroupSnapshot};
 use scratch_trace::{Attribution, StallReason, TraceEvent, TraceSummary, Tracer};
 use serde::{Deserialize, Serialize};
@@ -13,198 +13,6 @@ use crate::memory::Memory;
 use crate::stats::IssueCounters;
 use crate::wavefront::{WaveState, Wavefront};
 use crate::{CuConfig, CuError, CuStats};
-
-/// Register-level dependency key for the issue scoreboard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum RegKey {
-    S(u8),
-    V(u8),
-    Vcc,
-    Exec,
-    Scc,
-    M0,
-}
-
-impl RegKey {
-    /// Stable integer encoding used by [`CuSnapshot`] scoreboard entries.
-    fn code(self) -> u32 {
-        match self {
-            RegKey::S(n) => u32::from(n),
-            RegKey::V(n) => 0x100 + u32::from(n),
-            RegKey::Vcc => 0x200,
-            RegKey::Exec => 0x201,
-            RegKey::Scc => 0x202,
-            RegKey::M0 => 0x203,
-        }
-    }
-
-    fn from_code(code: u32) -> Option<RegKey> {
-        Some(match code {
-            0..=0xff => RegKey::S(code as u8),
-            0x100..=0x1ff => RegKey::V((code - 0x100) as u8),
-            0x200 => RegKey::Vcc,
-            0x201 => RegKey::Exec,
-            0x202 => RegKey::Scc,
-            0x203 => RegKey::M0,
-            _ => return None,
-        })
-    }
-}
-
-fn scalar_key(op: Operand) -> Option<RegKey> {
-    match op {
-        Operand::Sgpr(n) => Some(RegKey::S(n)),
-        Operand::VccLo | Operand::VccHi | Operand::Vccz => Some(RegKey::Vcc),
-        Operand::ExecLo | Operand::ExecHi | Operand::Execz => Some(RegKey::Exec),
-        Operand::Scc => Some(RegKey::Scc),
-        Operand::M0 => Some(RegKey::M0),
-        _ => None,
-    }
-}
-
-fn push_group(keys: &mut Vec<RegKey>, base: RegKey, width: u8) {
-    match base {
-        RegKey::S(n) => {
-            for i in 0..width {
-                keys.push(RegKey::S(n.saturating_add(i)));
-            }
-        }
-        RegKey::V(n) => {
-            for i in 0..width {
-                keys.push(RegKey::V(n.saturating_add(i)));
-            }
-        }
-        other => keys.push(other),
-    }
-}
-
-/// Append the source registers an instruction reads (for scoreboarding)
-/// to `keys`.
-fn source_keys(inst: &Instruction, keys: &mut Vec<RegKey>) {
-    let op = inst.opcode;
-    for src in inst.source_operands() {
-        match src {
-            Operand::Vgpr(r) => keys.push(RegKey::V(r)),
-            other => {
-                if let Some(k) = scalar_key(other) {
-                    push_group(keys, k, op.src_width());
-                }
-            }
-        }
-    }
-    // Vector instructions read the execute mask.
-    if op.is_vector_alu() || op.is_vector_memory() || op.is_lds() {
-        keys.push(RegKey::Exec);
-    }
-    // Implicit VCC / SCC reads.
-    if op.reads_vcc_implicitly() || op == Opcode::VCndmaskB32 {
-        keys.push(RegKey::Vcc);
-    }
-    match op {
-        Opcode::SCselectB32
-        | Opcode::SCmovB32
-        | Opcode::SAddcU32
-        | Opcode::SSubbU32
-        | Opcode::SCbranchScc0
-        | Opcode::SCbranchScc1 => keys.push(RegKey::Scc),
-        Opcode::SCbranchVccz | Opcode::SCbranchVccnz => keys.push(RegKey::Vcc),
-        Opcode::SCbranchExecz | Opcode::SCbranchExecnz => keys.push(RegKey::Exec),
-        _ => {}
-    }
-    // Read-modify-write destinations.
-    match inst.fields {
-        Fields::Sopk { sdst, .. }
-            if matches!(
-                op,
-                Opcode::SCmpkEqI32
-                    | Opcode::SCmpkLgI32
-                    | Opcode::SCmpkGtI32
-                    | Opcode::SCmpkGeI32
-                    | Opcode::SCmpkLtI32
-                    | Opcode::SCmpkLeI32
-                    | Opcode::SAddkI32
-                    | Opcode::SMulkI32
-            ) =>
-        {
-            if let Some(k) = scalar_key(sdst) {
-                keys.push(k);
-            }
-        }
-        Fields::Sop1 { sdst, .. }
-            if matches!(
-                op,
-                Opcode::SBitset0B32 | Opcode::SBitset1B32 | Opcode::SCmovB32
-            ) =>
-        {
-            if let Some(k) = scalar_key(sdst) {
-                keys.push(k);
-            }
-        }
-        Fields::Vop2 { vdst, .. } if op == Opcode::VMacF32 => keys.push(RegKey::V(vdst)),
-        // Buffer stores read the data register group.
-        Fields::Mubuf { vdata, .. } | Fields::Mtbuf { vdata, .. } if op.is_store() => {
-            push_group(keys, RegKey::V(vdata), op.dst_width());
-        }
-        // Buffer descriptors span four SGPRs.
-        Fields::Mubuf { srsrc, .. } | Fields::Mtbuf { srsrc, .. } => {
-            push_group(keys, RegKey::S(srsrc), 4);
-        }
-        _ => {}
-    }
-}
-
-/// Append the destination registers an instruction writes (for
-/// scoreboarding) to `keys`. Memory-load destinations are deliberately
-/// excluded: SI software must order those with `s_waitcnt`, and the
-/// timing model charges them there.
-fn dest_keys(inst: &Instruction, keys: &mut Vec<RegKey>) {
-    let op = inst.opcode;
-    if op.is_memory() {
-        return;
-    }
-    match inst.fields {
-        Fields::Sop2 { sdst, .. } | Fields::Sopk { sdst, .. } | Fields::Sop1 { sdst, .. } => {
-            if let Some(k) = scalar_key(sdst) {
-                push_group(keys, k, op.dst_width());
-            }
-        }
-        Fields::Sopc { .. } | Fields::Sopp { .. } => {}
-        Fields::Vop1 { vdst, .. } => {
-            if op == Opcode::VReadfirstlaneB32 {
-                keys.push(RegKey::S(vdst));
-            } else {
-                keys.push(RegKey::V(vdst));
-            }
-        }
-        Fields::Vop2 { vdst, .. } => keys.push(RegKey::V(vdst)),
-        Fields::Vopc { .. } => keys.push(RegKey::Vcc),
-        Fields::Vop3a { vdst, .. } => keys.push(RegKey::V(vdst)),
-        Fields::Vop3b { vdst, sdst, .. } => {
-            if !op.is_vector_compare() {
-                keys.push(RegKey::V(vdst));
-            }
-            if let Some(k) = scalar_key(sdst) {
-                push_group(keys, k, 2);
-            }
-        }
-        _ => {}
-    }
-    if op.writes_scc() {
-        keys.push(RegKey::Scc);
-    }
-    if op.writes_vcc_implicitly() && !matches!(inst.fields, Fields::Vop3b { .. }) {
-        keys.push(RegKey::Vcc);
-    }
-    if matches!(
-        op,
-        Opcode::SAndSaveexecB64
-            | Opcode::SOrSaveexecB64
-            | Opcode::SXorSaveexecB64
-            | Opcode::SAndn2SaveexecB64
-    ) {
-        keys.push(RegKey::Exec);
-    }
-}
 
 /// Everything the issue stage needs to know about one decoded
 /// instruction, derived once when the kernel is loaded.
@@ -242,7 +50,7 @@ struct IssueTable {
     /// The binary the table was built from.
     words: Vec<u32>,
     entries: Vec<Option<IssueEntry>>,
-    keys: Vec<RegKey>,
+    keys: Vec<Reg>,
 }
 
 impl IssueTable {
@@ -279,8 +87,15 @@ impl IssueTable {
                 _ => 1,
             };
             let vector_tail = if op.is_vector_alu() { beats - 1 } else { 0 };
-            let reads = table.push_keys(|keys| source_keys(&inst, keys));
-            let writes = table.push_keys(|keys| dest_keys(&inst, keys));
+            let reads = table.push_keys(|keys| inst.reads(|r| keys.push(r)));
+            // Memory-load destinations stay off the scoreboard: SI software
+            // orders those with `s_waitcnt`, and the timing model charges
+            // them there.
+            let writes = table.push_keys(|keys| {
+                if !op.roles().contains(Roles::LOAD) {
+                    inst.writes(|r| keys.push(r));
+                }
+            });
             table.entries[pos] = Some(IssueEntry {
                 inst,
                 unit,
@@ -305,14 +120,14 @@ impl IssueTable {
 
     /// Append the keys `push` produces to the arena and return their
     /// range.
-    fn push_keys(&mut self, push: impl FnOnce(&mut Vec<RegKey>)) -> (usize, usize) {
+    fn push_keys(&mut self, push: impl FnOnce(&mut Vec<Reg>)) -> (usize, usize) {
         let start = self.keys.len();
         push(&mut self.keys);
         (start, self.keys.len())
     }
 
     /// The keys of an entry's read or write range.
-    fn keys(&self, (start, end): (usize, usize)) -> &[RegKey] {
+    fn keys(&self, (start, end): (usize, usize)) -> &[Reg] {
         &self.keys[start..end]
     }
 }
@@ -320,11 +135,11 @@ impl IssueTable {
 /// One wave's in-flight register writes: `(register, cycle the result
 /// lands)`, each register at most once. A handful of entries at a time,
 /// so a linear scan beats hashing.
-type Pending = Vec<(RegKey, u64)>;
+type Pending = Vec<(Reg, u64)>;
 
 /// Record a pending write of `key` landing at `t`, replacing any earlier
 /// one for the same register.
-fn set_pending(pending: &mut Pending, key: RegKey, t: u64) {
+fn set_pending(pending: &mut Pending, key: Reg, t: u64) {
     match pending.iter_mut().find(|(k, _)| *k == key) {
         Some(slot) => slot.1 = t,
         None => pending.push((key, t)),
@@ -1412,7 +1227,7 @@ impl ComputeUnit {
             w.retired = ws.retired;
             let mut pending = Pending::with_capacity(ws.pending.len());
             for &(code, t) in &ws.pending {
-                let key = RegKey::from_code(code).ok_or_else(|| bad("unknown register key"))?;
+                let key = Reg::from_code(code).ok_or_else(|| bad("unknown register key"))?;
                 set_pending(&mut pending, key, t);
             }
             cu.waves.push(w);

@@ -10,7 +10,7 @@
 use scratch_asm::{Kernel, KernelMeta};
 use scratch_cu::func::{self, VecOps};
 use scratch_cu::{CuConfig, CuError, Memory, Wavefront};
-use scratch_isa::{Fields, FuncUnit, Instruction, Opcode, Operand, WAVEFRONT_SIZE};
+use scratch_isa::{Fields, FuncUnit, Instruction, Opcode, Operand, Roles, WAVEFRONT_SIZE};
 
 /// A compiled instruction body: closure over the wave's architectural
 /// state, the workgroup's LDS and global memory.
@@ -194,20 +194,9 @@ fn issue_error(op: Opcode, config: &CuConfig) -> Option<CuError> {
     }
 }
 
+/// Branches, barriers and `s_endpgm` end a basic block.
 fn is_terminator(op: Opcode) -> bool {
-    use Opcode::*;
-    matches!(
-        op,
-        SBranch
-            | SCbranchScc0
-            | SCbranchScc1
-            | SCbranchVccz
-            | SCbranchVccnz
-            | SCbranchExecz
-            | SCbranchExecnz
-            | SBarrier
-            | SEndpgm
-    )
+    op.is_branch() || matches!(op, Opcode::SBarrier | Opcode::SEndpgm)
 }
 
 /// Specialised closure for a pure lanewise vector ALU op (including
@@ -216,6 +205,7 @@ fn is_terminator(op: Opcode) -> bool {
 fn lanewise_closure(op: Opcode, v: VecOps) -> OpFn {
     let is_float = op.unit() == FuncUnit::Simf;
     let nsrc = (op.src_count() as usize).max(1);
+    let accumulates = op.roles().contains(Roles::RMW);
     Box::new(move |wave, _lds, _mem| {
         for lane in 0..WAVEFRONT_SIZE {
             if !wave.lane_active(lane) {
@@ -230,7 +220,7 @@ fn lanewise_closure(op: Opcode, v: VecOps) -> OpFn {
                     raw
                 };
             }
-            let acc = if op == Opcode::VMacF32 {
+            let acc = if accumulates {
                 wave.vgpr(v.vdst.into(), lane)?
             } else {
                 0
@@ -287,15 +277,8 @@ fn body_op(inst: Instruction, next_pc: usize, config: &CuConfig) -> Op {
             compiled: true,
         };
     }
-    let is_vector = matches!(
-        inst.fields,
-        Fields::Vop1 { .. }
-            | Fields::Vop2 { .. }
-            | Fields::Vopc { .. }
-            | Fields::Vop3a { .. }
-            | Fields::Vop3b { .. }
-    );
-    if is_vector {
+    // Vector ALU opcodes carry VOP1/VOP2/VOPC fields or their VOP3 forms.
+    if op.is_vector_alu() {
         let v = func::vec_ops(&inst);
         if op.is_vector_compare() {
             return Op {
@@ -303,10 +286,9 @@ fn body_op(inst: Instruction, next_pc: usize, config: &CuConfig) -> Op {
                 compiled: true,
             };
         }
-        let plain = !op.writes_vcc_implicitly()
-            && op != Opcode::VCndmaskB32
-            && op != Opcode::VReadfirstlaneB32;
-        if plain {
+        // Plain lanewise: no implicit VCC operand and a vector destination.
+        let special = Roles::READ_VCC.with(Roles::WRITE_VCC).with(Roles::SDST);
+        if !op.roles().intersects(special) {
             return Op {
                 run: lanewise_closure(op, v),
                 compiled: true,
@@ -356,7 +338,7 @@ pub fn translate(kernel: &Kernel, config: &CuConfig) -> Result<Program, CuError>
             leader[next] = true;
         }
         if let Fields::Sopp { simm16 } = inst.fields {
-            if inst.opcode != Opcode::SBarrier && inst.opcode != Opcode::SEndpgm {
+            if inst.opcode.is_branch() {
                 let t = next as i64 + i64::from(simm16 as i16);
                 if (0..n_words as i64).contains(&t) {
                     leader[t as usize] = true;

@@ -8,12 +8,14 @@
 //! * [`Opcode`] — the supported instruction set (a superset of the 156
 //!   instructions validated on the FPGA in the paper), each opcode tagged
 //!   with its encoding [`Format`], executing [`FuncUnit`], computational
-//!   [`Category`] (the Fig. 4 taxonomy) and [`DataType`];
+//!   [`Category`] (the Fig. 4 taxonomy), [`DataType`] and register
+//!   [`Roles`];
 //! * [`Operand`] — scalar/vector registers, special registers and inline
 //!   constants with their SI source-field encodings;
 //! * [`Instruction`] — a decoded instruction with per-format fields, plus
 //!   bit-exact [`Instruction::encode`] / [`Instruction::decode`] against the
-//!   SI machine-code layouts.
+//!   SI machine-code layouts, and the [`Reg`]isters it reads and writes
+//!   ([`Instruction::reads`] / [`Instruction::writes`]).
 //!
 //! # Examples
 //!
@@ -46,6 +48,7 @@ mod instruction;
 mod meta;
 mod opcode;
 mod operand;
+mod roles;
 
 pub use error::IsaError;
 pub use formats::Format;
@@ -53,6 +56,7 @@ pub use instruction::{Fields, Instruction, SmrdOffset, SourceOperands};
 pub use meta::{Category, DataType, FuncUnit};
 pub use opcode::Opcode;
 pub use operand::Operand;
+pub use roles::{Reg, Roles};
 
 /// Number of work-items in a wavefront (fixed by the SI architecture).
 pub const WAVEFRONT_SIZE: usize = 64;

@@ -17,6 +17,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use scratch_trace::chrome;
 use serde::value::{Map, Value};
 use serde::{Deserialize, Serialize};
 
@@ -327,22 +328,6 @@ pub fn to_jsonl(jobs: &[JobSpans]) -> String {
 /// so merged documents never collide.
 pub const SERVE_PID: u64 = 9_500_000;
 
-fn obj(pairs: &[(&str, Value)]) -> Value {
-    let mut m = Map::new();
-    for (k, v) in pairs {
-        m.insert((*k).to_owned(), v.clone());
-    }
-    Value::Object(m)
-}
-
-fn s(v: &str) -> Value {
-    Value::Str(v.to_owned())
-}
-
-fn n(v: u64) -> Value {
-    Value::U64(v)
-}
-
 /// Convert finished timelines into a Chrome `trace_event` document: one
 /// `serve` process, one thread per job (tid = job id), one `X` slice per
 /// span. The result serialises with `Display` / `to_json_compact` and
@@ -352,40 +337,24 @@ fn n(v: u64) -> Value {
 #[must_use]
 pub fn to_chrome(jobs: &[JobSpans]) -> Value {
     let mut events: Vec<Value> = Vec::with_capacity(jobs.len() * 8 + 2);
-    events.push(obj(&[
-        ("name", s("process_name")),
-        ("ph", s("M")),
-        ("pid", n(SERVE_PID)),
-        ("args", obj(&[("name", s("serve"))])),
-    ]));
+    events.push(chrome::process_name(SERVE_PID, "serve"));
     for j in jobs {
-        events.push(obj(&[
-            ("name", s("thread_name")),
-            ("ph", s("M")),
-            ("pid", n(SERVE_PID)),
-            ("tid", n(j.job)),
-            (
-                "args",
-                obj(&[("name", s(&format!("job {} ({})", j.job, j.tenant)))]),
-            ),
-        ]));
+        let name = format!("job {} ({})", j.job, j.tenant);
+        events.push(chrome::thread_name(SERVE_PID, j.job, &name));
+        let args = chrome::object(&[
+            ("job", Value::U64(j.job)),
+            ("tenant", Value::Str(j.tenant.clone())),
+            ("kernel", Value::Str(j.label.clone())),
+        ]);
         for sp in &j.spans {
-            events.push(obj(&[
-                ("name", s(sp.kind.label())),
-                ("ph", s("X")),
-                ("pid", n(SERVE_PID)),
-                ("tid", n(j.job)),
-                ("ts", n(sp.start_us)),
-                ("dur", n(sp.dur_us().max(1))),
-                (
-                    "args",
-                    obj(&[
-                        ("job", n(j.job)),
-                        ("tenant", s(&j.tenant)),
-                        ("kernel", s(&j.label)),
-                    ]),
-                ),
-            ]));
+            events.push(chrome::slice(
+                sp.kind.label(),
+                SERVE_PID,
+                j.job,
+                sp.start_us,
+                sp.dur_us(),
+                args.clone(),
+            ));
         }
     }
     let mut doc = Map::new();
@@ -507,5 +476,40 @@ mod tests {
         assert!(doc.contains("\"tid\":9"));
         assert!(doc.contains("\"queue\""));
         assert!(doc.contains("\"reply\""));
+    }
+
+    #[test]
+    fn chrome_export_is_pinned() {
+        // The expected document was produced by the exporter's earlier,
+        // self-contained event builders for the same input.
+        let span = |kind, start_us, end_us| Span {
+            kind,
+            start_us,
+            end_us,
+        };
+        let jobs = vec![
+            JobSpans {
+                job: 7,
+                tenant: "acme".to_owned(),
+                label: "matrix_add".to_owned(),
+                spans: vec![
+                    span(SpanKind::Queue, 100, 130),
+                    span(SpanKind::Run, 130, 400),
+                    span(SpanKind::Capture, 400, 400),
+                    span(SpanKind::Queue, 400, 420),
+                    span(SpanKind::Restore, 420, 431),
+                    span(SpanKind::Run, 431, 600),
+                    span(SpanKind::Reply, 600, 612),
+                ],
+            },
+            JobSpans {
+                job: 12,
+                tenant: "t\"2".to_owned(),
+                label: "gauss".to_owned(),
+                spans: vec![span(SpanKind::Replay, 5, 9), span(SpanKind::Queue, 9, 9)],
+            },
+        ];
+        let expected = r#"{"traceEvents":[{"args":{"name":"serve"},"name":"process_name","ph":"M","pid":9500000},{"args":{"name":"job 7 (acme)"},"name":"thread_name","ph":"M","pid":9500000,"tid":7},{"args":{"job":7,"kernel":"matrix_add","tenant":"acme"},"dur":30,"name":"queue","ph":"X","pid":9500000,"tid":7,"ts":100},{"args":{"job":7,"kernel":"matrix_add","tenant":"acme"},"dur":270,"name":"run","ph":"X","pid":9500000,"tid":7,"ts":130},{"args":{"job":7,"kernel":"matrix_add","tenant":"acme"},"dur":1,"name":"capture","ph":"X","pid":9500000,"tid":7,"ts":400},{"args":{"job":7,"kernel":"matrix_add","tenant":"acme"},"dur":20,"name":"queue","ph":"X","pid":9500000,"tid":7,"ts":400},{"args":{"job":7,"kernel":"matrix_add","tenant":"acme"},"dur":11,"name":"restore","ph":"X","pid":9500000,"tid":7,"ts":420},{"args":{"job":7,"kernel":"matrix_add","tenant":"acme"},"dur":169,"name":"run","ph":"X","pid":9500000,"tid":7,"ts":431},{"args":{"job":7,"kernel":"matrix_add","tenant":"acme"},"dur":12,"name":"reply","ph":"X","pid":9500000,"tid":7,"ts":600},{"args":{"name":"job 12 (t\"2)"},"name":"thread_name","ph":"M","pid":9500000,"tid":12},{"args":{"job":12,"kernel":"gauss","tenant":"t\"2"},"dur":4,"name":"replay","ph":"X","pid":9500000,"tid":12,"ts":5},{"args":{"job":12,"kernel":"gauss","tenant":"t\"2"},"dur":1,"name":"queue","ph":"X","pid":9500000,"tid":12,"ts":9}]}"#;
+        assert_eq!(to_chrome(&jobs).to_string(), expected);
     }
 }

@@ -34,6 +34,10 @@ pub const MAGIC: [u8; 4] = *b"SNAP";
 /// Page granularity of [`MemoryImage`] sparse captures, in bytes.
 pub const IMAGE_PAGE: usize = 4096;
 
+/// An all-zero page, the reference [`MemoryImage::capture`] compares
+/// pages against.
+static ZERO_PAGE: [u8; IMAGE_PAGE] = [0; IMAGE_PAGE];
+
 /// Everything that can go wrong reading a binary snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
@@ -372,13 +376,14 @@ pub struct MemoryImage {
 }
 
 impl MemoryImage {
-    /// Capture `data`, skipping pages that are entirely zero.
+    /// Capture `data`, skipping pages that are entirely zero (compared
+    /// against [`ZERO_PAGE`] a page at a time, not byte by byte).
     #[must_use]
     pub fn capture(data: &[u8]) -> MemoryImage {
         let pages = data
             .chunks(IMAGE_PAGE)
             .enumerate()
-            .filter(|(_, chunk)| chunk.iter().any(|&b| b != 0))
+            .filter(|(_, chunk)| *chunk != &ZERO_PAGE[..chunk.len()])
             .map(|(index, chunk)| ImagePage {
                 index: index as u64,
                 data: chunk.to_vec(),
@@ -390,13 +395,39 @@ impl MemoryImage {
         }
     }
 
-    /// Reconstruct the flat byte image.
+    /// Check that every page lies inside the image (checkpoints are read
+    /// back from disk, so indices are untrusted).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] naming the first page outside the image.
+    pub fn validate(&self) -> Result<(), SnapError> {
+        for page in &self.pages {
+            let end = usize::try_from(page.index)
+                .ok()
+                .and_then(|i| i.checked_mul(IMAGE_PAGE))
+                .and_then(|start| start.checked_add(page.data.len()));
+            if end.is_none_or(|end| end as u64 > self.len) {
+                return Err(SnapError::Corrupt(format!(
+                    "image page {} lies outside the image",
+                    page.index
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Reconstruct the flat byte image. Pages outside the image (which
+    /// [`MemoryImage::validate`] refuses) are skipped.
     #[must_use]
     pub fn restore(&self) -> Vec<u8> {
         let len = usize::try_from(self.len).unwrap_or(0);
         let mut data = vec![0u8; len];
         for page in &self.pages {
-            let start = usize::try_from(page.index).unwrap_or(usize::MAX) * IMAGE_PAGE;
+            let start = usize::try_from(page.index)
+                .ok()
+                .and_then(|i| i.checked_mul(IMAGE_PAGE))
+                .unwrap_or(usize::MAX);
             if let Some(dst) = data
                 .get_mut(start..)
                 .and_then(|tail| tail.get_mut(..page.data.len()))
@@ -624,6 +655,28 @@ mod tests {
         assert_eq!(image.pages[1].index, 3);
         assert_eq!(image.pages[1].data.len(), 100);
         assert_eq!(image.restore(), data);
+    }
+
+    #[test]
+    fn memory_image_pages_outside_the_image_are_refused() {
+        let mut image = MemoryImage::capture(&[1u8; IMAGE_PAGE * 2]);
+        assert_eq!(image.validate(), Ok(()));
+        for index in [(1 << 52) + 2, 2, u64::MAX] {
+            image.pages[0].index = index;
+            assert!(
+                matches!(image.validate(), Err(SnapError::Corrupt(_))),
+                "{index}"
+            );
+            // Restoring anyway skips the page instead of wrapping its address.
+            assert_eq!(
+                image.restore(),
+                [vec![0; IMAGE_PAGE], vec![1; IMAGE_PAGE]].concat()
+            );
+        }
+        // A page may be short at the end of the image, never long.
+        image.pages[0].index = 1;
+        image.pages[0].data.push(0);
+        assert!(matches!(image.validate(), Err(SnapError::Corrupt(_))));
     }
 
     #[test]

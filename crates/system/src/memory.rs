@@ -5,6 +5,8 @@ use serde::{Deserialize, Serialize};
 
 use scratch_cu::{AccessKind, Memory};
 
+use crate::SystemError;
+
 /// Memory-path timing parameters, in CU cycles (50 MHz).
 ///
 /// The *global* path models a request travelling CU → AXI interconnect →
@@ -511,6 +513,41 @@ struct EpochPageState {
 }
 
 impl EpochState {
+    /// Check that every page lies inside a `memory_bytes`-long memory, at
+    /// the length a view would have copied, with one written-mask bit per
+    /// byte, in ascending order. Checkpoints are read back from disk, and
+    /// committing or reading through a malformed page would index past
+    /// the memory or the page.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::Preemption`] naming the first malformed page.
+    pub fn validate(&self, memory_bytes: usize) -> Result<(), SystemError> {
+        let mut prev = None;
+        for page in &self.pages {
+            let start = usize::try_from(page.index)
+                .ok()
+                .and_then(|i| i.checked_mul(EPOCH_PAGE))
+                .filter(|&start| start < memory_bytes && prev < Some(page.index))
+                .ok_or_else(|| bad_checkpoint("epoch page index out of range or order"))?;
+            if page.data.len() != EPOCH_PAGE.min(memory_bytes - start) {
+                return Err(bad_checkpoint("epoch page length differs from its page"));
+            }
+            let tail = page.data.len() % 64;
+            let stray = match page.written.last() {
+                Some(&last) if tail != 0 => last >> tail != 0,
+                _ => false,
+            };
+            if page.written.len() != page.data.len().div_ceil(64) || stray {
+                return Err(bad_checkpoint(
+                    "epoch page written mask does not match its data",
+                ));
+            }
+            prev = Some(page.index);
+        }
+        Ok(())
+    }
+
     /// Convert into the delta form [`SharedMemory::commit`] applies.
     #[must_use]
     pub fn into_delta(self) -> EpochDelta {
@@ -724,10 +761,27 @@ impl SharedMemory {
         }
     }
 
-    /// Rebuild a memory from [`SharedMemory::checkpoint_state`] output.
-    #[must_use]
-    pub fn restore_state(state: &MemoryState) -> SharedMemory {
-        SharedMemory {
+    /// Rebuild a `memory_bytes`-long memory from
+    /// [`SharedMemory::checkpoint_state`] output.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::Preemption`] when the image has another length or a
+    /// page outside it.
+    pub fn restore_state(
+        state: &MemoryState,
+        memory_bytes: usize,
+    ) -> Result<SharedMemory, SystemError> {
+        if usize::try_from(state.image.len).ok() != Some(memory_bytes) {
+            return Err(bad_checkpoint(
+                "memory image length differs from the memory size",
+            ));
+        }
+        state
+            .image
+            .validate()
+            .map_err(|e| bad_checkpoint(&e.to_string()))?;
+        Ok(SharedMemory {
             data: state.image.restore(),
             timing: state.timing,
             prefetched: state.prefetched.clone(),
@@ -738,7 +792,13 @@ impl SharedMemory {
             prefetch_hits: state.prefetch_hits,
             prefetch_hit_bytes: state.prefetch_hit_bytes,
             queue_wait: state.queue_wait,
-        }
+        })
+    }
+}
+
+fn bad_checkpoint(reason: &str) -> SystemError {
+    SystemError::Preemption {
+        reason: format!("checkpoint: {reason}"),
     }
 }
 
@@ -956,7 +1016,7 @@ mod tests {
         m.access(AccessKind::VectorLoad, 4096, 64, 0);
         let bytes = scratch_snap::to_bytes(&m.checkpoint_state());
         let state: MemoryState = scratch_snap::from_bytes(&bytes).unwrap();
-        let mut r = SharedMemory::restore_state(&state);
+        let mut r = SharedMemory::restore_state(&state, m.len()).unwrap();
         assert_eq!(r.read_words(8, 3), vec![1, 2, 3]);
         assert_eq!(r.len(), m.len());
         assert_eq!(r.server_free, m.server_free);

@@ -1234,7 +1234,10 @@ impl System {
             .iter()
             .map(|snap| ComputeUnit::restore(cu_cfg.clone(), &kernel, snap))
             .collect::<Result<Vec<_>, _>>()?;
-        sys.mem = SharedMemory::restore_state(&ck.memory);
+        sys.mem = SharedMemory::restore_state(&ck.memory, sys.config.memory_bytes)?;
+        for epoch in ck.paused.epochs.iter().flatten() {
+            epoch.validate(sys.config.memory_bytes)?;
+        }
         sys.bump = ck.bump;
         sys.args_addr = ck.args_addr;
         sys.args_len = ck.args_len;
@@ -2506,6 +2509,82 @@ mod tests {
             reference.read_words(ref_out, n as usize)
         );
         assert_eq!(sys.report(), reference.report());
+    }
+
+    /// `ck` re-decoded after `edit` rewrote its serialized value tree:
+    /// what a checkpoint damaged in the log would decode to.
+    fn tamper(ck: &SystemCheckpoint, edit: impl FnOnce(&mut serde::Value)) -> SystemCheckpoint {
+        let mut v: serde::Value = scratch_snap::from_bytes(&scratch_snap::to_bytes(ck)).unwrap();
+        edit(&mut v);
+        scratch_snap::from_bytes(&scratch_snap::to_bytes(&v)).unwrap()
+    }
+
+    /// The node at `path` (object keys, or decimal array indices).
+    fn node<'a>(mut v: &'a mut serde::Value, path: &[&str]) -> Option<&'a mut serde::Value> {
+        for key in path {
+            v = match v {
+                serde::Value::Object(map) => map.get_mut(*key)?,
+                serde::Value::Array(items) => items.get_mut(key.parse::<usize>().ok()?)?,
+                _ => return None,
+            };
+        }
+        Some(v)
+    }
+
+    #[test]
+    fn restore_refuses_pages_outside_the_memory() {
+        let kernel = add_one_kernel(64);
+        let mut sys = System::new(SystemConfig::preset(SystemKind::DcdPm), &kernel).unwrap();
+        let input: Vec<u32> = (0..2048).collect();
+        let a_in = sys.alloc_words(&input);
+        let a_out = sys.alloc(2048 * 4);
+        sys.set_args(&[a_in as u32, a_out as u32]);
+        let mut progress = sys.dispatch_preemptible([32, 1, 1], 200).unwrap();
+        // Pause where a CU's epoch view holds a dirty page.
+        let (ck, epoch) = loop {
+            assert_eq!(progress, DispatchProgress::Paused, "no dirty epoch page");
+            let ck = sys.checkpoint().unwrap();
+            let mut v: serde::Value =
+                scratch_snap::from_bytes(&scratch_snap::to_bytes(&ck)).unwrap();
+            let dirty = (0..ck.paused.epochs.len()).find(|i| {
+                node(&mut v, &["paused", "epochs", &i.to_string(), "pages", "0"]).is_some()
+            });
+            if let Some(i) = dirty {
+                break (ck, i.to_string());
+            }
+            progress = sys.resume_dispatch(200).unwrap();
+        };
+        assert!(System::restore(&ck, None).is_ok());
+        let refused = |edit: &dyn Fn(&mut serde::Value)| {
+            let bad = tamper(&ck, edit);
+            assert!(matches!(
+                System::restore(&bad, None),
+                Err(SystemError::Preemption { .. })
+            ));
+        };
+        // An image page whose start overflows (wrapped to address 0 in a
+        // release build) or lies past the memory.
+        for index in [(1u64 << 52) + 2, ck.memory_bytes / 4096] {
+            refused(&|v| {
+                *node(v, &["memory", "image", "pages", "0", "index"]).unwrap() =
+                    serde::Value::U64(index);
+            });
+        }
+        refused(&|v| {
+            *node(v, &["memory", "image", "len"]).unwrap() = serde::Value::U64(4096);
+        });
+        // Epoch pages: index past the memory, short data, short mask.
+        let page = ["paused", "epochs", &epoch, "pages", "0"];
+        refused(&|v| {
+            *node(v, &[&page[..], &["index"]].concat()).unwrap() = serde::Value::U64(u64::MAX);
+        });
+        for field in ["data", "written"] {
+            refused(&|v| {
+                if let Some(serde::Value::Array(items)) = node(v, &[&page[..], &[field]].concat()) {
+                    items.pop();
+                }
+            });
+        }
     }
 
     #[test]

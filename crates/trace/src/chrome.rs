@@ -8,6 +8,10 @@
 //! per execution-engine worker lane, with a slice per CU shard, so the
 //! parallel schedule of a multi-CU dispatch is visible at a glance. One
 //! CU cycle is rendered as one microsecond.
+//!
+//! The event builders ([`object`], [`process_name`], [`thread_name`],
+//! [`slice`]) are public so other timelines — `scratch-profile`'s serve
+//! job spans — render in the same format.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -17,7 +21,10 @@ use scratch_isa::FuncUnit;
 
 use crate::TraceEvent;
 
-fn obj(pairs: &[(&str, Value)]) -> Value {
+/// A JSON object from `(key, value)` pairs (event `args`, or a whole
+/// event).
+#[must_use]
+pub fn object(pairs: &[(&str, Value)]) -> Value {
     let mut m = Map::new();
     for (k, v) in pairs {
         m.insert((*k).to_owned(), v.clone());
@@ -55,8 +62,11 @@ fn fu_tid(unit: FuncUnit) -> u64 {
         }
 }
 
-fn slice(name: &str, pid: u64, tid: u64, ts: u64, dur: u64, args: Value) -> Value {
-    obj(&[
+/// A complete (`X`) slice of `dur` microseconds (at least 1, so it stays
+/// visible) starting at `ts` on track `(pid, tid)`.
+#[must_use]
+pub fn slice(name: &str, pid: u64, tid: u64, ts: u64, dur: u64, args: Value) -> Value {
+    object(&[
         ("name", s(name)),
         ("ph", s("X")),
         ("pid", n(pid)),
@@ -68,7 +78,7 @@ fn slice(name: &str, pid: u64, tid: u64, ts: u64, dur: u64, args: Value) -> Valu
 }
 
 fn instant(name: &str, pid: u64, tid: u64, ts: u64, args: Value) -> Value {
-    obj(&[
+    object(&[
         ("name", s(name)),
         ("ph", s("i")),
         ("s", s("t")),
@@ -79,36 +89,31 @@ fn instant(name: &str, pid: u64, tid: u64, ts: u64, args: Value) -> Value {
     ])
 }
 
-fn thread_name(pid: u64, tid: u64, name: &str) -> Value {
-    obj(&[
+/// Metadata event naming track `(pid, tid)`.
+#[must_use]
+pub fn thread_name(pid: u64, tid: u64, name: &str) -> Value {
+    object(&[
         ("name", s("thread_name")),
         ("ph", s("M")),
         ("pid", n(pid)),
         ("tid", n(tid)),
-        ("args", obj(&[("name", s(name))])),
+        ("args", object(&[("name", s(name))])),
     ])
 }
 
-fn process_name(pid: u64) -> Value {
-    obj(&[
+/// Metadata event naming process `pid`.
+#[must_use]
+pub fn process_name(pid: u64, name: &str) -> Value {
+    object(&[
         ("name", s("process_name")),
         ("ph", s("M")),
         ("pid", n(pid)),
-        ("args", obj(&[("name", s(&format!("CU {pid}")))])),
+        ("args", object(&[("name", s(name))])),
     ])
 }
 
 /// Process id of the execution-engine schedule (far above any CU pid).
 const ENGINE_PID: u64 = 9_000_000;
-
-fn engine_process_name() -> Value {
-    obj(&[
-        ("name", s("process_name")),
-        ("ph", s("M")),
-        ("pid", n(ENGINE_PID)),
-        ("args", obj(&[("name", s("engine"))])),
-    ])
-}
 
 /// Outstanding memory requests of one wave: `(kind label, address, start)`.
 type MemFifo = VecDeque<(String, u64, u64)>;
@@ -138,7 +143,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
             out.push(thread_name(pid, tid, &name));
         }
         if pids.insert(pid) {
-            out.push(process_name(pid));
+            out.push(process_name(pid, &format!("CU {pid}")));
         }
     }
 
@@ -154,7 +159,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     0,
                     0,
                     ev.timestamp(),
-                    obj(&[
+                    object(&[
                         (
                             "grid",
                             Value::Array(grid.iter().map(|&g| n(u64::from(g))).collect()),
@@ -183,7 +188,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     pid,
                     wave_tid(*wave),
                     *now,
-                    obj(&[("workgroup", n(u64::from(*workgroup)))]),
+                    object(&[("workgroup", n(u64::from(*workgroup)))]),
                 ));
             }
             // Fetch/decode/issue/writeback render as instants on the wave
@@ -211,7 +216,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     pid,
                     wave_tid(*wave),
                     *now,
-                    obj(&[("pc", n(u64::from(*pc)))]),
+                    object(&[("pc", n(u64::from(*pc)))]),
                 ));
             }
             TraceEvent::Execute {
@@ -238,7 +243,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     fu_tid(*unit),
                     *start,
                     end.saturating_sub(*start),
-                    obj(&[("wave", n(u64::from(*wave))), ("pc", n(u64::from(*pc)))]),
+                    object(&[("wave", n(u64::from(*wave))), ("pc", n(u64::from(*pc)))]),
                 ));
             }
             TraceEvent::Writeback { .. } => {}
@@ -262,7 +267,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     pid,
                     wave_tid(*wave),
                     *now,
-                    obj(&[("instructions", n(*instructions))]),
+                    object(&[("instructions", n(*instructions))]),
                 ));
             }
             TraceEvent::MemStart {
@@ -300,7 +305,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                         mem_tid(*wave),
                         start,
                         end.saturating_sub(start),
-                        obj(&[("addr", n(addr))]),
+                        object(&[("addr", n(addr))]),
                     ));
                 }
             }
@@ -324,7 +329,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     pid,
                     wave_tid(*wave),
                     *now,
-                    obj(&[("workgroup", n(u64::from(*workgroup)))]),
+                    object(&[("workgroup", n(u64::from(*workgroup)))]),
                 ));
             }
             TraceEvent::BarrierRelease { cu, workgroup, now } => {
@@ -333,7 +338,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     u64::from(*cu),
                     0,
                     *now,
-                    obj(&[("workgroup", n(u64::from(*workgroup)))]),
+                    object(&[("workgroup", n(u64::from(*workgroup)))]),
                 ));
             }
             TraceEvent::ShardRun {
@@ -348,7 +353,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     out.push(thread_name(ENGINE_PID, tid, &format!("worker {worker}")));
                 }
                 if pids.insert(ENGINE_PID) {
-                    out.push(engine_process_name());
+                    out.push(process_name(ENGINE_PID, "engine"));
                 }
                 out.push(slice(
                     &format!("CU {cu}"),
@@ -356,7 +361,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     tid,
                     *start,
                     end.saturating_sub(*start),
-                    obj(&[("cu", n(u64::from(*cu))), ("job", n(*job))]),
+                    object(&[("cu", n(u64::from(*cu))), ("job", n(*job))]),
                 ));
             }
             TraceEvent::FaultInjected {
@@ -381,7 +386,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     pid,
                     wave_tid(*wave),
                     *now,
-                    obj(&[("detail", s(detail)), ("job", n(*job))]),
+                    object(&[("detail", s(detail)), ("job", n(*job))]),
                 ));
             }
             // Detection/recovery are campaign-level events: render them on
@@ -397,7 +402,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     0,
                     0,
                     *now,
-                    obj(&[("label", s(label)), ("job", n(*job))]),
+                    object(&[("label", s(label)), ("job", n(*job))]),
                 ));
             }
             TraceEvent::FaultRecovered {
@@ -411,7 +416,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     0,
                     0,
                     *now,
-                    obj(&[("label", s(label)), ("job", n(*job))]),
+                    object(&[("label", s(label)), ("job", n(*job))]),
                 ));
             }
             TraceEvent::Stall {
@@ -452,7 +457,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                 mem_tid(wave),
                 start,
                 1,
-                obj(&[("addr", n(addr))]),
+                object(&[("addr", n(addr))]),
             ));
         }
     }

@@ -29,7 +29,7 @@
 #![warn(missing_docs)]
 
 mod attribution;
-mod chrome;
+pub mod chrome;
 mod event;
 mod stall;
 mod summary;

@@ -11,10 +11,12 @@
 //!                       [--jobs N] [--exec cycle|fast|fast-timing] [--metrics] [--metrics-out FILE]
 //! scratch-tool profile  <file.s> [--system original|dcd|dcdpm] [--wgs N] [--exec cycle|fast]
 //!                       [--json]
-//! scratch-tool trace    [<file.s>] [--system original|dcd|dcdpm|all] [--n N] [--out DIR]
+//! scratch-tool trace    [<file.s>] [--system original|dcd|dcdpm|all] [--n N] [--wgs N] [--out DIR]
 //! scratch-tool fuzz     [--seed S] [--cases N]
 //!                       [--oracle reference|trim|parallel|roundtrip|checkpoint|fastpath|all]
-//!                       [--metrics-addr HOST:PORT]
+//!                       [--metrics-addr HOST:PORT] [--inject]
+//! scratch-tool inject   [--seed S] [--kernels N] [--per N] [--classes sgpr,vgpr,lds,mem,inst,fu]
+//!                       [--mode crc|dmr|plain] [--jobs N] [--json] [--plan FILE] [--plan-out FILE]
 //! scratch-tool serve-metrics [--addr HOST:PORT] [--once]
 //! scratch-tool serve    [--addr HOST:PORT] [--workers N] [--queue-cap N] [--tenant-cap N]
 //!                       [--rate R] [--burst B] [--quantum CYCLES] [--metrics-addr HOST:PORT]
@@ -29,6 +31,10 @@
 //!                       [--addr HOST:PORT] [--wal-dir DIR] [--quantum CYCLES]
 //!                       [--mid-append-every N] [--json]
 //! ```
+//!
+//! Each subcommand accepts only the flags its usage names: an unknown
+//! flag, `-h` or `--help` prints that usage and exits non-zero before any
+//! work starts.
 //!
 //! `serve --wal-dir` journals every admission, checkpoint and completion
 //! to a crash-safe write-ahead log; on restart against the same directory
@@ -178,6 +184,108 @@ fn metrics_warmup() -> Result<(), String> {
     Ok(())
 }
 
+/// Each subcommand's usage (after `scratch-tool `). It is also the list
+/// of flags the subcommand accepts: `[--flag VALUE]` or `[--switch]`.
+const COMMANDS: &[(&str, &str)] = &[
+    ("assemble", "assemble <file.s> [-o out.json]"),
+    ("disasm", "disasm <file.kernel.json | file.s>"),
+    ("analyze", "analyze <file.s>"),
+    ("trim", "trim <file.s>"),
+    (
+        "run",
+        "run <file.s> [--system original|dcd|dcdpm] [--wgs N] [--out-words N]\n\
+         \x20   [--jobs N] [--exec cycle|fast|fast-timing] [--metrics] [--metrics-out FILE]",
+    ),
+    (
+        "profile",
+        "profile <file.s> [--system original|dcd|dcdpm] [--wgs N] [--exec cycle|fast] [--json]",
+    ),
+    (
+        "trace",
+        "trace [<file.s>] [--system original|dcd|dcdpm|all] [--n N] [--wgs N] [--out DIR]",
+    ),
+    (
+        "fuzz",
+        "fuzz [--seed S] [--cases N]\n\
+         \x20   [--oracle reference|trim|parallel|roundtrip|checkpoint|fastpath|all]\n\
+         \x20   [--metrics-addr HOST:PORT] [--inject]",
+    ),
+    (
+        "inject",
+        "inject [--seed S] [--kernels N] [--per N] [--classes sgpr,vgpr,lds,mem,inst,fu]\n\
+         \x20   [--mode crc|dmr|plain] [--jobs N] [--json] [--plan FILE] [--plan-out FILE]",
+    ),
+    (
+        "serve",
+        "serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--tenant-cap N]\n\
+         \x20   [--rate R] [--burst B] [--quantum CYCLES] [--metrics-addr HOST:PORT]\n\
+         \x20   [--spans] [--spans-out FILE] [--spans-chrome FILE] [--profile]\n\
+         \x20   [--wal-dir DIR] [--wal-fsync always|never|MS] [--wal-segment-bytes N]\n\
+         \x20   [--idle-timeout-ms N]",
+    ),
+    (
+        "load",
+        "load [--addr HOST:PORT] [--clients 1,2,4,...] [--duration-ms N]\n\
+         \x20   [--seed S] [--kernels N] [--tenants N] [--out FILE]",
+    ),
+    (
+        "ctl",
+        "ctl ping|stats|top|drain|cancel <job> [--addr HOST:PORT]",
+    ),
+    ("serve-metrics", "serve-metrics [--addr HOST:PORT] [--once]"),
+    (
+        "wal",
+        "wal inspect <dir> [--limit N] | verify <dir> [--json]",
+    ),
+    (
+        "chaos",
+        "chaos [--seed S] [--cycles N] [--jobs N] [--clients N] [--tenants N]\n\
+         \x20   [--addr HOST:PORT] [--wal-dir DIR] [--quantum CYCLES]\n\
+         \x20   [--mid-append-every N] [--json]",
+    ),
+];
+
+/// `cmd`'s usage line.
+fn usage(cmd: &str) -> String {
+    let text = COMMANDS
+        .iter()
+        .find(|c| c.0 == cmd)
+        .map_or("<command> ...", |c| c.1);
+    format!("usage: scratch-tool {text}")
+}
+
+/// Refuse `-h`, `--help` and any flag the subcommand's usage does not
+/// name, with that usage, before the subcommand does any work.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Ok(());
+    };
+    let Some(&(_, text)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        return Ok(());
+    };
+    // `Some(true)` for a `[--flag VALUE]`, `Some(false)` for a `[--switch]`.
+    let named = |arg: &str| {
+        text.split_whitespace().find_map(|token| {
+            let token = token.trim_start_matches('[');
+            let flag = token.trim_end_matches(']');
+            (flag == arg).then_some(flag.len() == token.len())
+        })
+    };
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        match named(arg) {
+            _ if !arg.starts_with('-') => {}
+            Some(true) => {
+                rest.next();
+            }
+            Some(false) => {}
+            None if arg == "-h" || arg == "--help" => return Err(usage(cmd)),
+            None => return Err(format!("unknown flag `{arg}`\n{}", usage(cmd))),
+        }
+    }
+    Ok(())
+}
+
 /// Parse `<flag> N` (decimal or `0x` hex) from the argument list.
 fn flag_u64(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
     match flag_value(args, flag) {
@@ -219,10 +327,11 @@ fn real_main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let path = args.get(1).cloned();
+    check_flags(&args)?;
 
     match cmd {
         "assemble" => {
-            let path = path.ok_or("usage: scratch-tool assemble <file.s> [-o out.json]")?;
+            let path = path.ok_or_else(|| usage("assemble"))?;
             let kernel = load_kernel(&path)?;
             let out = flag_value(&args, "-o")
                 .cloned()
@@ -237,13 +346,13 @@ fn real_main() -> Result<(), String> {
             Ok(())
         }
         "disasm" => {
-            let path = path.ok_or("usage: scratch-tool disasm <file>")?;
+            let path = path.ok_or_else(|| usage("disasm"))?;
             let kernel = load_kernel(&path)?;
             print!("{}", kernel.disassemble().map_err(|e| e.to_string())?);
             Ok(())
         }
         "analyze" => {
-            let path = path.ok_or("usage: scratch-tool analyze <file.s>")?;
+            let path = path.ok_or_else(|| usage("analyze"))?;
             let kernel = load_kernel(&path)?;
             let analysis = Scratch::new().analyze(&kernel).map_err(|e| e.to_string())?;
             println!(
@@ -262,7 +371,7 @@ fn real_main() -> Result<(), String> {
             Ok(())
         }
         "trim" => {
-            let path = path.ok_or("usage: scratch-tool trim <file.s>")?;
+            let path = path.ok_or_else(|| usage("trim"))?;
             let kernel = load_kernel(&path)?;
             let scratch = Scratch::new();
             let trim = scratch.trim(&kernel).map_err(|e| e.to_string())?;
@@ -303,7 +412,7 @@ fn real_main() -> Result<(), String> {
             Ok(())
         }
         "run" => {
-            let path = path.ok_or("usage: scratch-tool run <file.s> [--system ...]")?;
+            let path = path.ok_or_else(|| usage("run"))?;
             let kernel = load_kernel(&path)?;
             let kind = match flag_value(&args, "--system").map(String::as_str) {
                 Some("original") => SystemKind::Original,
@@ -362,7 +471,7 @@ fn real_main() -> Result<(), String> {
             Ok(())
         }
         "profile" => {
-            let path = path.ok_or("usage: scratch-tool profile <file.s> [--system ...]")?;
+            let path = path.ok_or_else(|| usage("profile"))?;
             let kernel = load_kernel(&path)?;
             let kind = match flag_value(&args, "--system").map(String::as_str) {
                 Some("original") => SystemKind::Original,
@@ -780,9 +889,10 @@ fn real_main() -> Result<(), String> {
             Ok(())
         }
         "ctl" => {
-            let verb = args.get(1).map(String::as_str).ok_or(
-                "usage: scratch-tool ctl ping|stats|top|drain|cancel <job> [--addr HOST:PORT]",
-            )?;
+            let verb = args
+                .get(1)
+                .map(String::as_str)
+                .ok_or_else(|| usage("ctl"))?;
             let addr = flag_value(&args, "--addr")
                 .cloned()
                 .unwrap_or_else(|| "127.0.0.1:7070".to_owned());
@@ -849,7 +959,7 @@ fn real_main() -> Result<(), String> {
                     let job: u64 = args
                         .get(2)
                         .filter(|a| !a.starts_with("--"))
-                        .ok_or("usage: scratch-tool ctl cancel <job> [--addr HOST:PORT]")?
+                        .ok_or_else(|| usage("ctl"))?
                         .parse()
                         .map_err(|_| "ctl cancel: <job> must be a job id".to_owned())?;
                     let cancelled = client.cancel(job).map_err(|e| e.to_string())?;
@@ -887,12 +997,14 @@ fn real_main() -> Result<(), String> {
             }
         }
         "wal" => {
-            let usage = "usage: scratch-tool wal inspect <dir> [--limit N] | verify <dir> [--json]";
-            let verb = args.get(1).map(String::as_str).ok_or(usage)?;
+            let verb = args
+                .get(1)
+                .map(String::as_str)
+                .ok_or_else(|| usage("wal"))?;
             let dir = args
                 .get(2)
                 .filter(|a| !a.starts_with("--"))
-                .ok_or(usage)?
+                .ok_or_else(|| usage("wal"))?
                 .as_str();
             match verb {
                 "inspect" => {
