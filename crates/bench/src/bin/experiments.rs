@@ -31,33 +31,69 @@ usage: experiments [fig4|fig6-baseline|fig6-trim|sec41|fig7a|fig7b|headline|util
                  is bit-identical regardless of N)
   --json <path>  additionally dump every table as JSON";
 
+/// Every experiment name the command line accepts.
+const EXPERIMENTS: [&str; 14] = [
+    "fig4",
+    "fig6-baseline",
+    "fig6-trim",
+    "sec41",
+    "fig7a",
+    "fig7b",
+    "headline",
+    "util",
+    "profile",
+    "resilience",
+    "recovery",
+    "trace",
+    "ablations",
+    "all",
+];
+
+/// Refuse the command line: `msg`, the usage, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return;
+    let mut quick = false;
+    let mut json_path = None;
+    let mut jobs = 0; // engine default: one worker per core
+    let mut what = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            "--quick" => quick = true,
+            "--json" => {
+                let path = rest
+                    .next()
+                    .unwrap_or_else(|| usage_error("--json expects a path"));
+                json_path = Some(path.clone());
+            }
+            "--jobs" => {
+                let v = rest.next().map_or("", String::as_str);
+                jobs = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--jobs expects a worker count, got `{v}`"))
+                });
+            }
+            name if what.is_none() && EXPERIMENTS.contains(&name) => what = Some(name),
+            other => usage_error(&format!("unknown experiment or flag `{other}`")),
+        }
     }
-    let quick = args.iter().any(|a| a == "--quick");
+    let what = what.unwrap_or("all");
     let scale = if quick { Scale::Quick } else { Scale::Paper };
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    // A failed table is reported and the others still print; the exit
+    // status says whether every table was produced.
+    let mut failed = false;
+    let mut fail = |table: &str, e: &dyn std::fmt::Display| {
+        eprintln!("{table} failed: {e}");
+        failed = true;
     };
-    let json_path = flag_value("--json");
-    let jobs = match flag_value("--jobs").as_deref() {
-        None => 0, // engine default: one worker per core
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects a worker count, got `{v}`\n{USAGE}");
-            std::process::exit(2);
-        }),
-    };
-    let flag_values = [json_path.clone(), flag_value("--jobs")];
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !flag_values.contains(&Some((*a).clone())))
-        .map_or("all", String::as_str);
 
     let mut json = serde_json::Map::new();
 
@@ -69,7 +105,7 @@ fn main() {
                 print_fig4(&rows);
                 json.insert("fig4".into(), serde_json::to_value(&rows).unwrap());
             }
-            Err(e) => eprintln!("fig4 failed: {e}"),
+            Err(e) => fail("fig4", &e),
         }
     }
     if run("fig6-baseline") {
@@ -83,7 +119,7 @@ fn main() {
                 print_fig6_trim(&rows);
                 json.insert("fig6_trim".into(), serde_json::to_value(&rows).unwrap());
             }
-            Err(e) => eprintln!("fig6-trim failed: {e}"),
+            Err(e) => fail("fig6-trim", &e),
         }
     }
     if run("sec41") {
@@ -97,7 +133,7 @@ fn main() {
                     serde_json::to_value(&agg).unwrap(),
                 );
             }
-            Err(e) => eprintln!("sec41 failed: {e}"),
+            Err(e) => fail("sec41", &e),
         }
     }
     if run("fig7a") || run("fig7b") || run("headline") {
@@ -116,7 +152,7 @@ fn main() {
                     json.insert("headline".into(), serde_json::to_value(&h).unwrap());
                 }
             }
-            Err(e) => eprintln!("fig7 failed: {e}"),
+            Err(e) => fail("fig7", &e),
         }
     }
 
@@ -126,7 +162,7 @@ fn main() {
                 print_util(&rows);
                 json.insert("util".into(), serde_json::to_value(&rows).unwrap());
             }
-            Err(e) => eprintln!("util failed: {e}"),
+            Err(e) => fail("util", &e),
         }
     }
 
@@ -136,7 +172,7 @@ fn main() {
                 print_profile(&rows);
                 json.insert("profile".into(), serde_json::to_value(&rows).unwrap());
             }
-            Err(e) => eprintln!("profile failed: {e}"),
+            Err(e) => fail("profile", &e),
         }
     }
 
@@ -146,7 +182,7 @@ fn main() {
                 print_resilience(&rows);
                 json.insert("resilience".into(), serde_json::to_value(&rows).unwrap());
             }
-            Err(e) => eprintln!("resilience failed: {e}"),
+            Err(e) => fail("resilience", &e),
         }
     }
 
@@ -156,7 +192,7 @@ fn main() {
                 print_recovery(&rows);
                 json.insert("recovery".into(), serde_json::to_value(&rows).unwrap());
             }
-            Err(e) => eprintln!("recovery failed: {e}"),
+            Err(e) => fail("recovery", &e),
         }
     }
 
@@ -167,7 +203,7 @@ fn main() {
                 print_stalls(&rows);
                 json.insert("trace".into(), serde_json::to_value(&rows).unwrap());
             }
-            Err(e) => eprintln!("trace failed: {e}"),
+            Err(e) => fail("trace", &e),
         }
     }
 
@@ -176,15 +212,19 @@ fn main() {
             Ok(value) => {
                 json.insert("ablations".into(), value);
             }
-            Err(e) => eprintln!("ablations failed: {e}"),
+            Err(e) => fail("ablations", &e),
         }
     }
 
     if let Some(path) = json_path {
         let value = serde_json::Value::Object(json);
-        std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap())
-            .unwrap_or_else(|e| eprintln!("cannot write {path}: {e}"));
-        println!("\nJSON written to {path}");
+        match std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap()) {
+            Ok(()) => println!("\nJSON written to {path}"),
+            Err(e) => fail(&format!("writing {path}"), &e),
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 

@@ -31,12 +31,9 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Magic bytes opening every binary snapshot.
 pub const MAGIC: [u8; 4] = *b"SNAP";
 
-/// Page granularity of [`MemoryImage`] sparse captures, in bytes.
-pub const IMAGE_PAGE: usize = 4096;
-
-/// An all-zero page, the reference [`MemoryImage::capture`] compares
-/// pages against.
-static ZERO_PAGE: [u8; IMAGE_PAGE] = [0; IMAGE_PAGE];
+/// Page granularity of global memory, in bytes: the unit of its sparse
+/// page set, of epoch-view copy-on-write and of a [`MemoryImage`].
+pub const PAGE_BYTES: usize = 4096;
 
 /// Everything that can go wrong reading a binary snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -355,87 +352,55 @@ pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapError> {
 // Sparse memory image
 // ---------------------------------------------------------------------------
 
-/// One non-zero page of a [`MemoryImage`].
+/// Length of page `index` in a `len`-byte memory: [`PAGE_BYTES`], fewer
+/// only for a short final page; `None` when the page lies outside.
+#[must_use]
+pub fn page_len(index: u64, len: u64) -> Option<usize> {
+    let start = index.checked_mul(PAGE_BYTES as u64).filter(|&s| s < len)?;
+    Some((len - start).min(PAGE_BYTES as u64) as usize)
+}
+
+/// One page of a [`MemoryImage`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ImagePage {
-    /// Page number (`byte offset / IMAGE_PAGE`).
+    /// Page number (`byte offset / PAGE_BYTES`).
     pub index: u64,
-    /// Raw page bytes (the final page of an image may be short).
+    /// Raw page bytes: [`PAGE_BYTES`] of them, fewer only for the final
+    /// page of an image whose length is not a page multiple.
     pub data: Vec<u8>,
 }
 
-/// A sparse byte-image of a flat memory: all-zero [`IMAGE_PAGE`]-sized
-/// pages are elided, which keeps checkpoints of mostly-empty simulated
-/// DRAM proportional to the data actually touched.
+/// A sparse byte image of a memory: its pages in ascending index order,
+/// where an absent page reads as zero. Checkpoints list only the non-zero
+/// pages, which keeps them proportional to the data actually touched.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryImage {
     /// Total image length in bytes.
     pub len: u64,
-    /// The non-zero pages, in ascending index order.
+    /// The present pages, in ascending index order.
     pub pages: Vec<ImagePage>,
 }
 
 impl MemoryImage {
-    /// Capture `data`, skipping pages that are entirely zero (compared
-    /// against [`ZERO_PAGE`] a page at a time, not byte by byte).
-    #[must_use]
-    pub fn capture(data: &[u8]) -> MemoryImage {
-        let pages = data
-            .chunks(IMAGE_PAGE)
-            .enumerate()
-            .filter(|(_, chunk)| *chunk != &ZERO_PAGE[..chunk.len()])
-            .map(|(index, chunk)| ImagePage {
-                index: index as u64,
-                data: chunk.to_vec(),
-            })
-            .collect();
-        MemoryImage {
-            len: data.len() as u64,
-            pages,
-        }
-    }
-
-    /// Check that every page lies inside the image (checkpoints are read
-    /// back from disk, so indices are untrusted).
+    /// Check that every page lies inside the image, in strictly
+    /// ascending order, at its full length (checkpoints are read back
+    /// from disk, so indices and lengths are untrusted).
     ///
     /// # Errors
     ///
-    /// [`SnapError::Corrupt`] naming the first page outside the image.
+    /// [`SnapError::Corrupt`] naming the first malformed page.
     pub fn validate(&self) -> Result<(), SnapError> {
+        let mut next = 0;
         for page in &self.pages {
-            let end = usize::try_from(page.index)
-                .ok()
-                .and_then(|i| i.checked_mul(IMAGE_PAGE))
-                .and_then(|start| start.checked_add(page.data.len()));
-            if end.is_none_or(|end| end as u64 > self.len) {
+            if page.index < next || page_len(page.index, self.len) != Some(page.data.len()) {
                 return Err(SnapError::Corrupt(format!(
-                    "image page {} lies outside the image",
+                    "image page {} lies outside the image, out of order or at the wrong length",
                     page.index
                 )));
             }
+            next = page.index + 1;
         }
         Ok(())
-    }
-
-    /// Reconstruct the flat byte image. Pages outside the image (which
-    /// [`MemoryImage::validate`] refuses) are skipped.
-    #[must_use]
-    pub fn restore(&self) -> Vec<u8> {
-        let len = usize::try_from(self.len).unwrap_or(0);
-        let mut data = vec![0u8; len];
-        for page in &self.pages {
-            let start = usize::try_from(page.index)
-                .ok()
-                .and_then(|i| i.checked_mul(IMAGE_PAGE))
-                .unwrap_or(usize::MAX);
-            if let Some(dst) = data
-                .get_mut(start..)
-                .and_then(|tail| tail.get_mut(..page.data.len()))
-            {
-                dst.copy_from_slice(&page.data);
-            }
-        }
-        data
     }
 }
 
@@ -645,46 +610,34 @@ mod tests {
     }
 
     #[test]
-    fn memory_image_elides_zero_pages() {
-        let mut data = vec![0u8; IMAGE_PAGE * 3 + 100];
-        data[IMAGE_PAGE + 5] = 0xab;
-        data[IMAGE_PAGE * 3 + 99] = 0xcd;
-        let image = MemoryImage::capture(&data);
-        assert_eq!(image.pages.len(), 2);
-        assert_eq!(image.pages[0].index, 1);
-        assert_eq!(image.pages[1].index, 3);
-        assert_eq!(image.pages[1].data.len(), 100);
-        assert_eq!(image.restore(), data);
-    }
-
-    #[test]
     fn memory_image_pages_outside_the_image_are_refused() {
-        let mut image = MemoryImage::capture(&[1u8; IMAGE_PAGE * 2]);
+        let page = |index, len| ImagePage {
+            index,
+            data: vec![1; len],
+        };
+        let mut image = MemoryImage {
+            len: PAGE_BYTES as u64 * 2 + 100,
+            pages: vec![page(0, PAGE_BYTES), page(2, 100)],
+        };
         assert_eq!(image.validate(), Ok(()));
-        for index in [(1 << 52) + 2, 2, u64::MAX] {
+        for index in [(1 << 52) + 2, 3, u64::MAX] {
             image.pages[0].index = index;
             assert!(
                 matches!(image.validate(), Err(SnapError::Corrupt(_))),
                 "{index}"
             );
-            // Restoring anyway skips the page instead of wrapping its address.
-            assert_eq!(
-                image.restore(),
-                [vec![0; IMAGE_PAGE], vec![1; IMAGE_PAGE]].concat()
-            );
         }
-        // A page may be short at the end of the image, never long.
-        image.pages[0].index = 1;
-        image.pages[0].data.push(0);
-        assert!(matches!(image.validate(), Err(SnapError::Corrupt(_))));
-    }
-
-    #[test]
-    fn empty_memory_image_round_trips() {
-        let image = MemoryImage::capture(&[]);
-        assert_eq!(image.restore(), Vec::<u8>::new());
-        let all_zero = MemoryImage::capture(&[0u8; IMAGE_PAGE]);
-        assert!(all_zero.pages.is_empty());
-        assert_eq!(all_zero.restore(), vec![0u8; IMAGE_PAGE]);
+        // Out of order, repeated, or at the wrong length: only the final
+        // page of the image may be short, and no page is long.
+        for pages in [
+            vec![page(2, 100), page(0, PAGE_BYTES)],
+            vec![page(0, PAGE_BYTES), page(0, PAGE_BYTES)],
+            vec![page(0, 100)],
+            vec![page(0, PAGE_BYTES + 1)],
+            vec![page(2, 101)],
+        ] {
+            image.pages = pages;
+            assert!(matches!(image.validate(), Err(SnapError::Corrupt(_))));
+        }
     }
 }

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scratch_snap::{
     from_bytes, to_bytes, CuSnapshot, ImagePage, MemoryImage, WaveSnapshot, WorkgroupSnapshot,
+    PAGE_BYTES,
 };
 use serde::{Map, Value};
 
@@ -55,6 +56,34 @@ fn random_wave(rng: &mut StdRng, id: u64) -> WaveSnapshot {
         pending: (0..rng.gen_range(0..6usize))
             .map(|_| (rng.gen_range(0..0x204u32), rng.gen_range(0..1 << 40)))
             .collect(),
+    }
+}
+
+/// A valid image: a random length and a random ascending subset of its
+/// pages, each at its full length with sparse non-zero bytes.
+fn random_image(seed: u64) -> MemoryImage {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let len = rng.gen_range(0..3 * PAGE_BYTES + 17);
+    let present: Vec<usize> = (0..len.div_ceil(PAGE_BYTES))
+        .filter(|_| rng.gen::<bool>())
+        .collect();
+    let pages = present
+        .into_iter()
+        .map(|index| {
+            let mut data = vec![0u8; PAGE_BYTES.min(len - index * PAGE_BYTES)];
+            for _ in 0..rng.gen_range(1..32u32) {
+                let at = rng.gen_range(0..data.len());
+                data[at] = rng.gen_range(1..256u32) as u8;
+            }
+            ImagePage {
+                index: index as u64,
+                data,
+            }
+        })
+        .collect();
+    MemoryImage {
+        len: len as u64,
+        pages,
     }
 }
 
@@ -116,21 +145,14 @@ proptest! {
 
     #[test]
     fn memory_image_round_trip(seed in 0u64..10_000) {
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let len = rng.gen_range(0..3 * 4096 + 17usize);
-        let mut data = vec![0u8; len];
-        // Sparse writes so zero pages actually occur.
-        for _ in 0..rng.gen_range(0..32u32) {
-            if len > 0 {
-                let at = rng.gen_range(0..len);
-                data[at] = rng.gen_range(0..256u32) as u8;
-            }
-        }
-        let image = MemoryImage::capture(&data);
-        prop_assert_eq!(image.restore(), data.clone());
+        let image = random_image(seed);
+        prop_assert_eq!(image.validate(), Ok(()));
         let bytes = to_bytes(&image);
         let back: MemoryImage = from_bytes(&bytes).expect("binary decode");
-        prop_assert_eq!(back.restore(), data);
+        prop_assert_eq!(&back, &image);
+        let json = serde_json::to_string(&image).expect("json encode");
+        let back: MemoryImage = serde_json::from_str(&json).expect("json decode");
+        prop_assert_eq!(&back, &image);
     }
 }
 
@@ -150,19 +172,19 @@ fn version_mismatch_is_rejected() {
 
 #[test]
 fn sparse_pages_keep_snapshots_compact() {
-    let mut data = vec![0u8; 1 << 20];
-    data[123] = 7;
-    let image = MemoryImage::capture(&data);
+    let image = MemoryImage {
+        len: 1 << 20,
+        pages: vec![ImagePage {
+            index: 0,
+            data: vec![7; PAGE_BYTES],
+        }],
+    };
     let bytes = to_bytes(&image);
     assert!(
-        bytes.len() < 2 * 4096,
+        bytes.len() < 2 * PAGE_BYTES,
         "1 MiB image with one touched page encoded to {} bytes",
         bytes.len()
     );
-    let _ = ImagePage {
-        index: 0,
-        data: vec![],
-    };
 }
 
 /// The fast functional tier has no cycle-accurate state to capture, so a

@@ -67,7 +67,7 @@ mod system;
 
 pub use error::SystemError;
 pub use fault::{CuUpset, FaultSpec, MemUpset};
-pub use memory::{EpochDelta, EpochMemory, EpochState, MemTiming, MemoryState, SharedMemory};
+pub use memory::{EpochMemory, EpochState, MemTiming, SharedMemory};
 pub use system::{
     check_grid, DispatchProgress, ExecMode, RunReport, System, SystemCheckpoint, SystemConfig,
     SystemKind, TraceMode,

@@ -16,7 +16,7 @@ use scratch_snap::CuSnapshot;
 use scratch_trace::{EventBuffer, StallReason, TraceEvent, TraceSummary, Tracer as _};
 
 use crate::fault::{CuFault, FaultRecord, FaultSpec, ScheduledFaults};
-use crate::memory::{EpochDelta, EpochMemory, EpochState, MemTiming, MemoryState, SharedMemory};
+use crate::memory::{EpochMemory, EpochState, MemTiming, SharedMemory};
 use crate::{abi, SystemError};
 
 /// Allocator capacity bound for the paper's device (cached — the additive
@@ -639,14 +639,14 @@ impl System {
                 let cycles = self.finish_dispatch(idx, &p.before);
                 return Ok(DispatchProgress::Complete { cycles });
             }
-            let deltas = p
+            let views = p
                 .epochs
                 .iter_mut()
-                .map(|e| e.take().expect("fast shards hold an epoch").into_delta())
+                .map(|e| e.take().expect("fast shards hold an epoch"))
                 .collect();
             p.shadow = Some(match turns.into_iter().find_map(Result::err) {
                 Some(e) => Err(e),
-                None => Ok((stats, deltas)),
+                None => Ok((stats, views)),
             });
             p.reset_shards(&self.mem);
             quantum = u64::MAX;
@@ -764,7 +764,7 @@ impl System {
     }
 
     /// The one commit, once a turn has finished every shard or one has
-    /// failed: apply the shards' epoch deltas in CU order, draining each
+    /// failed: apply the shards' epoch views in CU order, draining each
     /// CU's trace events followed by its [`TraceEvent::ShardRun`]. The
     /// first failure wins: shards before it commit; it, every later
     /// shard, and any shard an aborted bounded turn left unfinished never
@@ -781,7 +781,7 @@ impl System {
             match turn {
                 Ok(true) if open => {
                     let state = p.epochs[ci].take().expect("finished shards hold an epoch");
-                    self.mem.commit(state.into_delta());
+                    self.mem.commit(state);
                     if let Some(buf) = &mut self.trace_buf {
                         buf.extend(self.cu_bufs[ci].take());
                         buf.record(&TraceEvent::ShardRun {
@@ -816,11 +816,11 @@ impl System {
     /// image. The pipeline is authoritative — its own failure was already
     /// the dispatch's failure, whatever the fast tier thought.
     fn check_shadow(&mut self, idx: usize, shadow: FastShadow) -> Result<(), SystemError> {
-        let (stats, deltas) = shadow.map_err(|e| SystemError::FastDivergence {
+        let (stats, views) = shadow.map_err(|e| SystemError::FastDivergence {
             what: format!("fast tier failed where the cycle pipeline succeeded: {e}"),
         })?;
-        for delta in &deltas {
-            if let Some((addr, want, got)) = self.mem.first_delta_mismatch(delta) {
+        for view in &views {
+            if let Some((addr, want, got)) = self.mem.first_delta_mismatch(view) {
                 return Err(SystemError::FastDivergence {
                     what: format!(
                         "byte {addr:#x}: fast tier wrote {want:#04x}, cycle pipeline has {got:#04x}"
@@ -1057,7 +1057,7 @@ impl System {
     /// [`System::dispatch`] — same memory contents, same cycle counts —
     /// whatever the quantum or worker count: it is the same loop
     /// [`System::dispatch`] runs with an unbounded quantum, shards keep
-    /// private epoch views across pauses, and deltas commit in CU order
+    /// private epoch views across pauses, and views commit in CU order
     /// only at completion. The fast tiers ([`ExecMode::Fast`],
     /// [`ExecMode::FastWithTiming`]) have no checkpointable state, so
     /// they run whole and return [`DispatchProgress::Complete`] from this
@@ -1562,8 +1562,8 @@ struct Shard<'a> {
 }
 
 /// A self-checking dispatch's fast-tier run: its counters and uncommitted
-/// per-CU deltas, or its first failure in CU order.
-type FastShadow = Result<(FastStats, Vec<EpochDelta>), SystemError>;
+/// per-CU epoch views, or its first failure in CU order.
+type FastShadow = Result<(FastStats, Vec<EpochState>), SystemError>;
 
 /// Everything a CU shard needs to launch its workgroups — immutable, so
 /// worker threads share it by reference.
@@ -1767,7 +1767,7 @@ pub struct SystemCheckpoint {
     auto_prefetch: bool,
     metrics: bool,
     kernels: Vec<Kernel>,
-    memory: MemoryState,
+    memory: SharedMemory,
     bump: u64,
     args_addr: Option<u64>,
     args_len: u64,
@@ -2573,6 +2573,10 @@ mod tests {
         refused(&|v| {
             *node(v, &["memory", "image", "len"]).unwrap() = serde::Value::U64(4096);
         });
+        // The memory size disagrees with the image length.
+        refused(&|v| {
+            *node(v, &["memory_bytes"]).unwrap() = serde::Value::U64(ck.memory_bytes * 2);
+        });
         // Epoch pages: index past the memory, short data, short mask.
         let page = ["paused", "epochs", &epoch, "pages", "0"];
         refused(&|v| {
@@ -2585,6 +2589,22 @@ mod tests {
                 }
             });
         }
+        // A 64 TiB address range costs nothing to restore: the memory holds
+        // the pages the checkpoint lists, not its range, and the resumed
+        // dispatch finishes as the original does.
+        let huge = tamper(&ck, |v| {
+            for path in [&["memory_bytes"][..], &["memory", "image", "len"]] {
+                *node(v, path).unwrap() = serde::Value::U64(1 << 46);
+            }
+        });
+        let mut restored = System::restore(&huge, None).unwrap();
+        assert_eq!(restored.memory().len(), 1 << 46);
+        while restored.resume_dispatch(200).unwrap() == DispatchProgress::Paused {}
+        while sys.resume_dispatch(200).unwrap() == DispatchProgress::Paused {}
+        assert_eq!(
+            restored.read_words(a_out, 2048),
+            sys.read_words(a_out, 2048)
+        );
     }
 
     #[test]
