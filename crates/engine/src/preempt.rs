@@ -6,8 +6,8 @@
 //! long-running job cannot monopolise a worker, tenants share the pool
 //! fairly whatever their queue depths, and a cancelled job stops at its
 //! next quantum boundary instead of running to the end. The slice closure
-//! owns whatever state it needs to continue — the serving layer's jobs
-//! carry a serialized `scratch_system::SystemCheckpoint` between quanta.
+//! owns whatever state it needs to continue — a serving-layer job keeps
+//! its paused `scratch_system::System` resident between quanta.
 //! A run-to-completion job is simply a job whose first slice is
 //! [`Slice::Done`]; [`PreemptiveEngine::run_batch`] submits closures that
 //! way under one tenant, where round-robin degenerates to FIFO.

@@ -17,8 +17,9 @@
 //!   admitted, and no client ever receives a `Done` for a job it was not
 //!   acked.
 //!
-//! The whole campaign is deterministic in its *schedule* (kernels, kill
-//! delays, tear points all derive from [`ChaosPlan::seed`]); the precise
+//! The whole campaign is deterministic in its *schedule* (kernels, the
+//! ack count each kill waits for, tear points all derive from
+//! [`ChaosPlan::seed`]); the precise
 //! instruction the daemon dies on still varies run to run, which is the
 //! point — the invariant must hold for every interleaving.
 
@@ -42,7 +43,7 @@ use crate::protocol::{fnv1a, SubmitRequest};
 /// The campaign schedule.
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
-    /// Seed for everything random: the kernel mix, kill delays, tear
+    /// Seed for everything random: the kernel mix, kill points, tear
     /// points.
     pub seed: u64,
     /// SIGKILL/restart cycles before the final drain cycle.
@@ -61,8 +62,13 @@ pub struct ChaosPlan {
     /// Preemption quantum handed to the daemon — small, so jobs slice and
     /// checkpoint records land in the log for recovery to resume from.
     pub quantum: u64,
-    /// Per-cycle uptime window `(min_ms, max_ms)` before the SIGKILL.
-    pub uptime_ms: (u64, u64),
+    /// Per-lifetime range `(min, max)` of acked admissions: each kill
+    /// cycle draws `k` from it (seeded) and SIGKILLs the daemon right
+    /// after the `k`-th ack of that lifetime, so the kill lands while jobs
+    /// are in flight whatever the host speed. A lifetime whose clients
+    /// run out of work first, or that outlives a 10 s wall-clock cap, is
+    /// killed then instead.
+    pub kill_after_acks: (u64, u64),
     /// Install the `SCRATCH_WAL_CRASH` mid-append tear-and-abort hook on
     /// every `n`-th kill cycle (0 = never): the daemon dies *inside* a
     /// `write(2)`, leaving a torn frame exactly as a power cut would.
@@ -83,10 +89,10 @@ impl Default for ChaosPlan {
             tenants: 3,
             addr: "127.0.0.1:7999".to_owned(),
             wal_dir: std::env::temp_dir().join("scratch-chaos-wal"),
-            quantum: 400,
+            quantum: 200,
             // Short lifetimes: the kill must land while jobs are in
             // flight, or nothing ever needs replaying.
-            uptime_ms: (60, 350),
+            kill_after_acks: (4, 16),
             mid_append_every: 2,
             daemon: Vec::new(),
         }
@@ -284,6 +290,8 @@ struct Shared {
     /// Spec indices acked at least once (resubmission detector).
     ever_acked: Mutex<BTreeSet<usize>>,
     stop: AtomicBool,
+    /// Admissions acked in the current daemon lifetime (the kill trigger).
+    lifetime_acks: AtomicU64,
     resubmits: AtomicU64,
     reconnects: AtomicU64,
     unacked_done: AtomicU64,
@@ -334,6 +342,7 @@ fn client_loop(shared: &Shared, addr: &str, c: usize, clients: usize, reconnect:
         let conn = client.as_mut().expect("connected above");
         match conn.submit(shared.specs[idx].request()) {
             Ok(Ok(id)) => {
+                shared.lifetime_acks.fetch_add(1, Ordering::AcqRel);
                 {
                     let mut acked = shared.acked.lock().expect("acked lock");
                     if acked.insert(id, idx).is_some() {
@@ -460,6 +469,7 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
         acked: Mutex::new(BTreeMap::new()),
         ever_acked: Mutex::new(BTreeSet::new()),
         stop: AtomicBool::new(false),
+        lifetime_acks: AtomicU64::new(0),
         resubmits: AtomicU64::new(0),
         reconnects: AtomicU64::new(0),
         unacked_done: AtomicU64::new(0),
@@ -489,15 +499,24 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
             }
         }
         shared.stop.store(false, Ordering::Release);
-        let (lo, hi) = plan.uptime_ms;
-        let uptime = lo + mix(&mut rng) % (hi.saturating_sub(lo) + 1);
+        shared.lifetime_acks.store(0, Ordering::Release);
+        let (lo, hi) = plan.kill_after_acks;
+        let kill_at = lo + mix(&mut rng) % (hi.saturating_sub(lo) + 1);
+        let deadline = Instant::now() + Duration::from_secs(10);
         std::thread::scope(|s| {
-            for c in 0..clients {
-                let shared = &shared;
-                let addr = plan.addr.as_str();
-                s.spawn(move || client_loop(shared, addr, c, clients, false));
+            let handles: Vec<_> = (0..clients)
+                .map(|c| {
+                    let shared = &shared;
+                    let addr = plan.addr.as_str();
+                    s.spawn(move || client_loop(shared, addr, c, clients, false))
+                })
+                .collect();
+            while shared.lifetime_acks.load(Ordering::Acquire) < kill_at
+                && !handles.iter().all(|h| h.is_finished())
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_micros(200));
             }
-            std::thread::sleep(Duration::from_millis(uptime));
             let _ = child.kill(); // SIGKILL on unix
             shared.stop.store(true, Ordering::Release);
         });

@@ -55,7 +55,7 @@ pub use client::ServeClient;
 pub use load::{run_load, LoadPlan, LoadReport, StepReport};
 pub use protocol::{
     fnv1a, JobDone, RejectReason, Rejection, Request, Response, StatsReply, SubmitRequest,
-    TenantStats, TenantTop, TopReply,
+    TenantStats, TenantTop, TopReply, MAX_NAME_BYTES,
 };
 pub use quota::TokenBucket;
 pub use server::{ServeConfig, Server};

@@ -50,6 +50,11 @@ pub enum Request {
     Top,
 }
 
+/// Longest accepted `tenant` or `label` of a [`SubmitRequest`], in bytes.
+/// A tenant name becomes a metrics label and a table key, so a longer one
+/// is shed with [`RejectReason::TooLarge`].
+pub const MAX_NAME_BYTES: usize = 256;
+
 /// The payload of a [`Request::Submit`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubmitRequest {
@@ -290,9 +295,9 @@ pub struct JobDone {
     /// Microseconds the job spent executing.
     pub exec_us: u64,
     /// Of `exec_us`, the microseconds spent on the checkpoint plane:
-    /// capturing + serializing state at quantum expiries and decoding +
-    /// restoring it at slice entries. `exec_us - snap_us` is pure run
-    /// time.
+    /// capturing + serializing the checkpoints journaled at quantum
+    /// expiries (WAL only) and decoding + restoring a replayed job's
+    /// checkpoint. `exec_us - snap_us` is pure run time.
     pub snap_us: u64,
     /// Execution slices the job took (1 = never preempted).
     pub slices: u64,

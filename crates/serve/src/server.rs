@@ -7,7 +7,7 @@
 //! request lines and makes admission decisions, and a writer that owns
 //! the socket's send side, fed by an mpsc channel); one shared
 //! *preemptive* `scratch-engine` pool executing the admitted jobs in
-//! checkpointed slices; and one router thread that consumes the pool's
+//! preemptible slices; and one router thread that consumes the pool's
 //! outcome stream and serializes each [`Response::Done`] into the
 //! originating connection's channel. A disconnected client simply makes
 //! that send a no-op (the job itself always completes; accepted work is
@@ -18,15 +18,21 @@
 //! A job does not own a worker for its whole run. Each admitted kernel
 //! executes in quanta of [`ServeConfig::quantum_cycles`] simulated
 //! cycles: when a quantum expires the simulator pauses at an instruction
-//! boundary, the full architectural state is captured as a
-//! `scratch_system::SystemCheckpoint`, serialized to the compact
-//! `scratch-snap` binary form, and the `System` is dropped; the next
-//! slice rebuilds it from those bytes and resumes. Checkpoint/restore is
-//! bit-identical (outputs *and* cycle counts), so sliced served results
-//! match offline runs exactly. Between slices the scheduler round-robins
-//! across tenants, and a [`Request::Cancel`] takes effect at the next
-//! quantum boundary — long kernels can be stopped mid-flight without
-//! wedging a worker or blocking a drain.
+//! boundary and the job's `System` stays resident in its slice closure;
+//! the next slice resumes that same `System`. Between slices the
+//! scheduler round-robins across tenants, and a [`Request::Cancel`] takes
+//! effect at the next quantum boundary — long kernels can be stopped
+//! mid-flight without wedging a worker or blocking a drain.
+//!
+//! With a write-ahead log ([`ServeConfig::wal`]) every pause also
+//! captures the full architectural state as a
+//! `scratch_system::SystemCheckpoint`, encodes it in the compact
+//! `scratch-snap` binary form and journals it; the running `System` is
+//! untouched. A restart restores a replayed job from its newest journaled
+//! checkpoint on that job's first slice — the only place serve decodes a
+//! checkpoint. Checkpoint/restore is bit-identical (outputs *and* cycle
+//! counts), so sliced and resumed served results match offline runs
+//! exactly.
 //!
 //! ## Admission control
 //!
@@ -59,7 +65,7 @@ use scratch_wal::{CrashOnAppend, PendingEntry, Record, RecoveryReport, Wal, WalC
 
 use crate::protocol::{
     fnv1a, JobDone, RejectReason, Rejection, Request, Response, StatsReply, SubmitRequest,
-    TenantStats, TenantTop, TopReply,
+    TenantStats, TenantTop, TopReply, MAX_NAME_BYTES,
 };
 use crate::quota::TokenBucket;
 
@@ -82,10 +88,11 @@ pub struct ServeConfig {
     /// Per-job simulated-cycle budget; a kernel that exceeds it resolves
     /// to a failed [`JobDone`] instead of wedging a worker.
     pub watchdog_cycles: u64,
-    /// Simulated cycles one execution slice may run before the job is
-    /// checkpointed and the worker moves to the next tenant's work.
-    /// Smaller quanta mean fairer scheduling and faster cancellation at
-    /// the cost of more checkpoint/restore round-trips.
+    /// Simulated cycles one execution slice may run before the job pauses
+    /// and the worker moves to the next tenant's work. Smaller quanta mean
+    /// fairer scheduling and faster cancellation at the cost of more
+    /// scheduler round trips (and, with a WAL, more journaled
+    /// checkpoints).
     pub quantum_cycles: u64,
     /// Largest accepted input buffer, in words.
     pub max_input_words: usize,
@@ -155,8 +162,8 @@ struct ServeMetrics {
     queue_us: Histogram,
 }
 
-/// Registry handles for the checkpoint/restore plane of preemptive
-/// execution.
+/// Registry handles for the checkpoint/restore plane: checkpoints
+/// journaled at pauses, restores of replayed jobs.
 struct SnapMetrics {
     checkpoints: Counter,
     checkpoint_bytes: Counter,
@@ -168,15 +175,15 @@ impl SnapMetrics {
         SnapMetrics {
             checkpoints: r.counter(
                 "scratch_snap_checkpoints_total",
-                "System checkpoints captured at preemption boundaries",
+                "System checkpoints journaled to the WAL at preemption boundaries",
             ),
             checkpoint_bytes: r.counter(
                 "scratch_snap_checkpoint_bytes_total",
-                "Serialized checkpoint bytes produced",
+                "Serialized checkpoint bytes journaled to the WAL",
             ),
             resume_us: r.histogram(
                 "scratch_snap_resume_micros",
-                "Microseconds to decode a checkpoint and rebuild the system",
+                "Microseconds to decode a replayed job's checkpoint and rebuild its system",
             ),
         }
     }
@@ -340,7 +347,6 @@ impl ServeMetrics {
 
 /// SLO gauge handles for one tenant, refreshed from its rolling window
 /// at most every [`SLO_REFRESH`].
-#[derive(Clone)]
 struct SloGauges {
     p99_us: Gauge,
     shed_ratio: Gauge,
@@ -359,34 +365,117 @@ impl SloGauges {
 /// window — keeps the per-completion hook O(1) under load.
 const SLO_REFRESH: Duration = Duration::from_millis(200);
 
-/// Per-tenant serving state. The registry handles double as the stats
-/// source, so counters exist in exactly one place.
-struct Tenant {
-    bucket: TokenBucket,
+/// Per-tenant serving state shared by the tenant table and every pending
+/// job of the tenant. The registry handles double as the stats source,
+/// so counters exist in exactly one place.
+struct TenantHandle {
     /// Jobs queued or running (the `tenant_cap` gate).
-    in_flight: Arc<AtomicU64>,
+    in_flight: AtomicU64,
     accepted: Counter,
     completed: Counter,
     shed: Counter,
     /// End-to-end latency, admission → Done, in microseconds.
     latency_us: Histogram,
     /// Rolling SLO window (last 60 s of completions and sheds).
-    slo: Arc<Mutex<SloWindow>>,
+    slo: Mutex<SloWindow>,
     slo_gauges: SloGauges,
     /// The profiler's per-tenant aggregate: every completed job's
     /// signature merged in (stays empty with profiling off).
-    signature: Arc<Mutex<InstrSignature>>,
+    signature: Mutex<InstrSignature>,
 }
 
-impl Tenant {
-    /// Record a shed in the rolling window and refresh the gauges if due.
+impl TenantHandle {
+    fn new(registry: &Registry, name: &str) -> TenantHandle {
+        let labels = [("tenant", name)];
+        TenantHandle {
+            in_flight: AtomicU64::new(0),
+            accepted: registry.counter_with(
+                "scratch_serve_tenant_accepted_total",
+                "Submissions admitted, per tenant",
+                &labels,
+            ),
+            completed: registry.counter_with(
+                "scratch_serve_tenant_completed_total",
+                "Jobs completed, per tenant",
+                &labels,
+            ),
+            shed: registry.counter_with(
+                "scratch_serve_tenant_shed_total",
+                "Submissions shed, per tenant",
+                &labels,
+            ),
+            latency_us: registry.histogram_with(
+                "scratch_serve_latency_micros",
+                "End-to-end job latency (admission to completion), per tenant",
+                &labels,
+            ),
+            slo: Mutex::new(SloWindow::default_serving()),
+            slo_gauges: SloGauges {
+                p99_us: registry.gauge_with(
+                    "scratch_slo_p99_micros",
+                    "Rolling-window (60s) p99 end-to-end latency, per tenant",
+                    &labels,
+                ),
+                shed_ratio: registry.gauge_with(
+                    "scratch_slo_shed_ratio",
+                    "Rolling-window (60s) shed fraction, per tenant",
+                    &labels,
+                ),
+                budget_burn: registry.gauge_with(
+                    "scratch_slo_budget_burn",
+                    "Error-budget burn rate against the 99% target (1.0 = \
+                     burning exactly the allowed rate), per tenant",
+                    &labels,
+                ),
+            },
+            signature: Mutex::new(InstrSignature::default()),
+        }
+    }
+
+    /// Count a shed, record it in the rolling window and refresh the
+    /// gauges if due.
     fn note_shed(&self) {
+        self.shed.inc();
         let mut slo = self.slo.lock().expect("tenant slo lock");
         slo.record_shed();
         if let Some(snap) = slo.maybe_refresh(SLO_REFRESH) {
             self.slo_gauges.publish(&snap);
         }
     }
+
+    /// Reserve one job slot: the job now counts as queued or running.
+    fn reserve(&self) {
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        self.accepted.inc();
+    }
+
+    /// Settle one finished job: fold its signature in, record its
+    /// latency and release its slot.
+    fn settle(&self, total_us: u64, signature: Option<InstrSignature>) {
+        if let Some(sig) = signature {
+            self.signature
+                .lock()
+                .expect("tenant signature lock")
+                .merge(&sig);
+        }
+        {
+            let mut slo = self.slo.lock().expect("tenant slo lock");
+            slo.record_latency(total_us);
+            if let Some(snap) = slo.maybe_refresh(SLO_REFRESH) {
+                self.slo_gauges.publish(&snap);
+            }
+        }
+        self.latency_us.observe(total_us);
+        self.completed.inc();
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// A tenant-table entry: the token bucket lives under the table lock,
+/// everything else in the shared handle.
+struct Tenant {
+    bucket: TokenBucket,
+    handle: Arc<TenantHandle>,
 }
 
 /// What a completed run resolves to. (Named to stay clear of
@@ -395,8 +484,8 @@ struct RunOutcome {
     cycles: u64,
     instructions: u64,
     words: Vec<u32>,
-    /// Microseconds spent capturing/serializing and decoding/restoring
-    /// checkpoints across all slices.
+    /// Microseconds spent capturing/serializing journaled checkpoints and
+    /// decoding/restoring a replayed one, across all slices.
     snap_us: u64,
     /// Execution slices the run took.
     slices: u64,
@@ -417,12 +506,7 @@ struct PendingJob {
     label: String,
     return_output: bool,
     admitted: Instant,
-    tenant_in_flight: Arc<AtomicU64>,
-    tenant_completed: Counter,
-    tenant_latency: Histogram,
-    tenant_slo: Arc<Mutex<SloWindow>>,
-    tenant_slo_gauges: SloGauges,
-    tenant_signature: Arc<Mutex<InstrSignature>>,
+    tenant_handle: Arc<TenantHandle>,
     /// The job's span timeline (spans on only); finished at routing.
     track: Option<Arc<SpanTrack>>,
     /// Id this job's WAL records settle under. Equal to the engine id for
@@ -463,51 +547,12 @@ struct Inner {
 }
 
 impl Inner {
-    fn tenant_metrics(&self, registry: &Registry, name: &str) -> Tenant {
-        Tenant {
+    /// The named tenant's entry, created on first sight.
+    fn tenant<'t>(&self, tenants: &'t mut BTreeMap<String, Tenant>, name: &str) -> &'t mut Tenant {
+        tenants.entry(name.to_owned()).or_insert_with(|| Tenant {
             bucket: TokenBucket::new(self.config.rate, self.config.burst, Instant::now()),
-            in_flight: Arc::new(AtomicU64::new(0)),
-            accepted: registry.counter_with(
-                "scratch_serve_tenant_accepted_total",
-                "Submissions admitted, per tenant",
-                &[("tenant", name)],
-            ),
-            completed: registry.counter_with(
-                "scratch_serve_tenant_completed_total",
-                "Jobs completed, per tenant",
-                &[("tenant", name)],
-            ),
-            shed: registry.counter_with(
-                "scratch_serve_tenant_shed_total",
-                "Submissions shed, per tenant",
-                &[("tenant", name)],
-            ),
-            latency_us: registry.histogram_with(
-                "scratch_serve_latency_micros",
-                "End-to-end job latency (admission to completion), per tenant",
-                &[("tenant", name)],
-            ),
-            slo: Arc::new(Mutex::new(SloWindow::default_serving())),
-            slo_gauges: SloGauges {
-                p99_us: registry.gauge_with(
-                    "scratch_slo_p99_micros",
-                    "Rolling-window (60s) p99 end-to-end latency, per tenant",
-                    &[("tenant", name)],
-                ),
-                shed_ratio: registry.gauge_with(
-                    "scratch_slo_shed_ratio",
-                    "Rolling-window (60s) shed fraction, per tenant",
-                    &[("tenant", name)],
-                ),
-                budget_burn: registry.gauge_with(
-                    "scratch_slo_budget_burn",
-                    "Error-budget burn rate against the 99% target (1.0 = \
-                     burning exactly the allowed rate), per tenant",
-                    &[("tenant", name)],
-                ),
-            },
-            signature: Arc::new(Mutex::new(InstrSignature::default())),
-        }
+            handle: Arc::new(TenantHandle::new(&self.registry, name)),
+        })
     }
 
     /// Update the backlog gauges from engine introspection.
@@ -582,22 +627,7 @@ impl Inner {
         // *before* the Done can reach the client: a client that has its
         // reply in hand must never observe counters that do not yet
         // include it.
-        if let Some(sig) = signature {
-            p.tenant_signature
-                .lock()
-                .expect("tenant signature lock")
-                .merge(&sig);
-        }
-        {
-            let mut slo = p.tenant_slo.lock().expect("tenant slo lock");
-            slo.record_latency(total_us);
-            if let Some(snap) = slo.maybe_refresh(SLO_REFRESH) {
-                p.tenant_slo_gauges.publish(&snap);
-            }
-        }
-        p.tenant_latency.observe(total_us);
-        p.tenant_completed.inc();
-        p.tenant_in_flight.fetch_sub(1, Ordering::AcqRel);
+        p.tenant_handle.settle(total_us, signature);
         self.metrics.completed.inc();
         if !ok {
             self.metrics.failed.inc();
@@ -684,83 +714,50 @@ impl Inner {
             );
             return self.reject(&req.tenant, RejectReason::TooLarge, None, &msg);
         }
+        if req.tenant.len() > MAX_NAME_BYTES || req.label.len() > MAX_NAME_BYTES {
+            // The over-long name is not echoed back.
+            let msg = format!("tenant or label exceeds the {MAX_NAME_BYTES}-byte limit");
+            return self.reject("", RejectReason::TooLarge, None, &msg);
+        }
 
         // Tenant-table gates. The lock covers the bucket mutation and the
         // in-flight reservation, so two racing submissions cannot both
         // squeeze through the last slot.
-        let (
-            tenant_in_flight,
-            tenant_completed,
-            tenant_latency,
-            tenant_slo,
-            slo_gauges,
-            tenant_sig,
-        ) = {
+        let handle = {
             let mut tenants = self.tenants.lock().expect("tenant table lock");
-            if !tenants.contains_key(&req.tenant) {
-                let t = self.tenant_metrics(&self.registry, &req.tenant);
-                tenants.insert(req.tenant.clone(), t);
-            }
-            let t = tenants.get_mut(&req.tenant).expect("just inserted");
-
-            if t.in_flight.load(Ordering::Acquire) >= self.config.tenant_cap as u64 {
-                t.shed.inc();
-                t.note_shed();
+            let t = self.tenant(&mut tenants, &req.tenant);
+            let in_flight = t.handle.in_flight.load(Ordering::Acquire);
+            let shed = if in_flight >= self.config.tenant_cap as u64 {
                 let msg = format!(
-                    "tenant has {} jobs queued or running (cap {})",
-                    t.in_flight.load(Ordering::Acquire),
+                    "tenant has {in_flight} jobs queued or running (cap {})",
                     self.config.tenant_cap
                 );
-                return self.reject(&req.tenant, RejectReason::TenantQueueFull, None, &msg);
-            }
-            if self.engine.queue_depth() >= self.config.queue_cap {
-                t.shed.inc();
-                t.note_shed();
+                Some((RejectReason::TenantQueueFull, None, msg))
+            } else if self.engine.queue_depth() >= self.config.queue_cap {
                 let msg = format!("engine queue at capacity ({} jobs)", self.config.queue_cap);
-                return self.reject(&req.tenant, RejectReason::Overloaded, None, &msg);
-            }
-            if let Err(wait) = t.bucket.try_take(Instant::now()) {
-                t.shed.inc();
-                t.note_shed();
+                Some((RejectReason::Overloaded, None, msg))
+            } else if let Err(wait) = t.bucket.try_take(Instant::now()) {
                 let ms = wait.as_millis().try_into().unwrap_or(u64::MAX).max(1);
                 let msg = format!("tenant over its {}/s rate quota", self.config.rate);
-                return self.reject(&req.tenant, RejectReason::RateLimited, Some(ms), &msg);
+                Some((RejectReason::RateLimited, Some(ms), msg))
+            } else {
+                None
+            };
+            if let Some((reason, retry_after_ms, msg)) = shed {
+                t.handle.note_shed();
+                return self.reject(&req.tenant, reason, retry_after_ms, &msg);
             }
-
-            t.in_flight.fetch_add(1, Ordering::AcqRel);
-            t.accepted.inc();
-            (
-                Arc::clone(&t.in_flight),
-                t.completed.clone(),
-                t.latency_us.clone(),
-                Arc::clone(&t.slo),
-                t.slo_gauges.clone(),
-                Arc::clone(&t.signature),
-            )
+            t.handle.reserve();
+            Arc::clone(&t.handle)
         };
 
         self.metrics.accepted.inc();
-        // The timeline opens in its Queue span here, at admission; the
-        // job id is bound at routing, once the engine has minted it.
-        let track = self
-            .spans
-            .as_ref()
-            .map(|r| r.begin(&req.tenant, &req.label));
         let job = self.launch(
             req,
             kind,
+            handle,
             tx.clone(),
             Arc::clone(conn_pending),
-            (
-                tenant_in_flight,
-                tenant_completed,
-                tenant_latency,
-                tenant_slo,
-                slo_gauges,
-                tenant_sig,
-            ),
-            track,
-            None,
             None,
         );
         self.publish_backlog();
@@ -769,116 +766,55 @@ impl Inner {
 
     /// Hand one validated submission to the engine and register its
     /// pending entry — the shared tail of live admission ([`Inner::admit`])
-    /// and WAL replay ([`Inner::replay`]). `resume` seeds the slice loop
-    /// with a recovered checkpoint's `(out_addr, snap bytes)`; `wal_id`
-    /// pins the WAL record id for replayed jobs (`None` = live admission,
-    /// whose records settle under the engine id).
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::type_complexity)]
+    /// and WAL replay ([`Inner::replay`], which passes the [`Replayed`]
+    /// origin).
     fn launch(
         self: &Arc<Inner>,
         req: SubmitRequest,
         kind: SystemKind,
+        tenant_handle: Arc<TenantHandle>,
         tx: Sender<String>,
         conn_pending: Arc<AtomicU64>,
-        handles: (
-            Arc<AtomicU64>,
-            Counter,
-            Histogram,
-            Arc<Mutex<SloWindow>>,
-            SloGauges,
-            Arc<Mutex<InstrSignature>>,
-        ),
-        track: Option<Arc<SpanTrack>>,
-        resume: Option<(u64, Vec<u8>)>,
-        wal_id: Option<u64>,
+        replayed: Option<Replayed>,
     ) -> u64 {
-        let (
-            tenant_in_flight,
-            tenant_completed,
-            tenant_latency,
-            tenant_slo,
-            slo_gauges,
-            tenant_sig,
-        ) = handles;
+        // The timeline opens here, in its Queue (or Replay) span; the job
+        // id is bound at routing, once the engine has minted it.
+        let track = self.spans.as_ref().map(|r| match replayed {
+            Some(_) => r.begin_replayed(&req.tenant, &req.label),
+            None => r.begin(&req.tenant, &req.label),
+        });
         // Live admissions journal the full submission; replayed jobs are
         // already in the log (replay is idempotent by request id), so
         // they are not re-journaled.
-        let payload = (wal_id.is_none() && self.wal.is_some()).then(|| {
+        let payload = (replayed.is_none() && self.wal.is_some()).then(|| {
             serde_json::to_string(&req)
                 .expect("SubmitRequest always serializes")
                 .into_bytes()
         });
-        let inner = Arc::clone(self);
         let admitted = Instant::now();
         let engine_label = format!("{}/{}", req.tenant, req.label);
         let tenant = req.tenant.clone();
         let label = req.label.clone();
         let return_output = req.return_output;
-        let watchdog = self.config.watchdog_cycles;
-        let quantum = self.config.quantum_cycles.max(1);
-        let profile = self.config.profile;
-        let work_track = track.clone();
-        let redelivered = wal_id.is_some();
-        // Checkpoint bytes carried between slices, plus the output base
-        // the first slice allocated (the restored system re-derives
-        // everything else from the checkpoint). Replay seeds both from
-        // the recovered checkpoint, so a restart resumes mid-kernel.
-        let (mut out_addr, mut carried) = match resume {
-            Some((addr, snap)) => (addr, Some(snap)),
-            None => (0u64, None),
+        let (wal_id, resume) = match replayed {
+            Some(r) => (Some(r.id), r.checkpoint),
+            None => (None, None),
         };
-        let mut snap_us = 0u64;
+        let mut served = ServedJob {
+            inner: Arc::clone(self),
+            req,
+            kind,
+            wal_id,
+            track: track.clone(),
+            sys: None,
+            resume,
+            out_addr: 0,
+            snap_us: 0,
+        };
         let work = move |job: u64, slice: u64| -> Slice<JobResult> {
-            match run_slice(
-                &req,
-                kind,
-                &inner.registry,
-                watchdog,
-                quantum,
-                carried.take(),
-                &mut out_addr,
-                &inner.snap,
-                job,
-                profile,
-                work_track.as_deref(),
-                &mut snap_us,
-            ) {
-                Ok(SliceStep::Paused(bytes)) => {
-                    // Persist the quantum-boundary checkpoint, then carry
-                    // the same bytes into the next slice (destructured
-                    // back out of the record rather than cloned).
-                    let bytes = match &inner.wal {
-                        Some(plane) => {
-                            let record = Record::Checkpoint {
-                                id: wal_id.unwrap_or(job),
-                                out_addr,
-                                snap: bytes,
-                            };
-                            plane.append(&record);
-                            let Record::Checkpoint { snap, .. } = record else {
-                                unreachable!("just built as a checkpoint")
-                            };
-                            snap
-                        }
-                        None => bytes,
-                    };
-                    carried = Some(bytes);
-                    Slice::Yield
-                }
-                Ok(SliceStep::Finished {
-                    cycles,
-                    instructions,
-                    words,
-                    signature,
-                }) => Slice::Done(Ok(Ok(RunOutcome {
-                    cycles,
-                    instructions,
-                    words,
-                    snap_us,
-                    slices: slice + 1,
-                    signature,
-                }))),
+            match served.run_slice(job, slice) {
+                Ok(SliceStep::Paused) => Slice::Yield,
+                Ok(SliceStep::Finished(run)) => Slice::Done(Ok(Ok(run))),
                 Err(msg) => Slice::Done(Ok(Err(msg))),
             }
         };
@@ -887,42 +823,34 @@ impl Inner {
         // the submit, so the router can't race us to the outcome — and
         // journal the admission there too, so a job's Admitted record
         // always precedes its Completed record in the log.
-        let job = {
-            let mut pending = self.pending_jobs.lock().expect("pending jobs lock");
-            let id = self
-                .engine
-                .submit_with_id(tenant.clone(), engine_label, work);
-            if let (Some(payload), Some(plane)) = (payload, &self.wal) {
-                plane.append(&Record::Admitted {
-                    id,
-                    tenant: tenant.clone(),
-                    label: label.clone(),
-                    payload,
-                });
-            }
-            pending.insert(
+        let mut pending = self.pending_jobs.lock().expect("pending jobs lock");
+        let id = self
+            .engine
+            .submit_with_id(tenant.clone(), engine_label, work);
+        if let (Some(payload), Some(plane)) = (payload, &self.wal) {
+            plane.append(&Record::Admitted {
                 id,
-                PendingJob {
-                    tx,
-                    tenant,
-                    label,
-                    return_output,
-                    admitted,
-                    tenant_in_flight,
-                    tenant_completed,
-                    tenant_latency,
-                    tenant_slo,
-                    tenant_slo_gauges: slo_gauges,
-                    tenant_signature: tenant_sig,
-                    track,
-                    wal_id: wal_id.unwrap_or(id),
-                    redelivered,
-                    conn_pending: Arc::clone(&conn_pending),
-                },
-            );
-            id
-        };
-        job
+                tenant: tenant.clone(),
+                label: label.clone(),
+                payload,
+            });
+        }
+        pending.insert(
+            id,
+            PendingJob {
+                tx,
+                tenant,
+                label,
+                return_output,
+                admitted,
+                tenant_handle,
+                track,
+                wal_id: wal_id.unwrap_or(id),
+                redelivered: wal_id.is_some(),
+                conn_pending,
+            },
+        );
+        id
     }
 
     /// Re-admit every unfinished job recovery found in the write-ahead
@@ -958,7 +886,7 @@ impl Inner {
             // A checkpoint from a foreign snap format version is dropped
             // (the job re-runs from scratch, still exactly-once); same-
             // version bytes resume mid-kernel.
-            let resume =
+            let checkpoint =
                 entry
                     .checkpoint
                     .and_then(|(addr, snap)| match scratch_snap::peek_version(&snap) {
@@ -972,33 +900,17 @@ impl Inner {
                             None
                         }
                     });
-            let handles = {
+            // Replay bypasses the admission gates — these jobs were
+            // already admitted and acked in a previous lifetime — but
+            // still reserves tenant capacity, so live admission sees the
+            // recovered backlog.
+            let handle = {
                 let mut tenants = self.tenants.lock().expect("tenant table lock");
-                if !tenants.contains_key(&req.tenant) {
-                    let t = self.tenant_metrics(&self.registry, &req.tenant);
-                    tenants.insert(req.tenant.clone(), t);
-                }
-                let t = tenants.get_mut(&req.tenant).expect("just inserted");
-                // Replay bypasses the admission gates — these jobs were
-                // already admitted and acked in a previous lifetime — but
-                // still reserves tenant capacity, so live admission sees
-                // the recovered backlog.
-                t.in_flight.fetch_add(1, Ordering::AcqRel);
-                t.accepted.inc();
-                (
-                    Arc::clone(&t.in_flight),
-                    t.completed.clone(),
-                    t.latency_us.clone(),
-                    Arc::clone(&t.slo),
-                    t.slo_gauges.clone(),
-                    Arc::clone(&t.signature),
-                )
+                let t = self.tenant(&mut tenants, &req.tenant);
+                t.handle.reserve();
+                Arc::clone(&t.handle)
             };
             self.metrics.accepted.inc();
-            let track = self
-                .spans
-                .as_ref()
-                .map(|r| r.begin_replayed(&req.tenant, &req.label));
             // No connection owns a replayed job: its Done goes to a dead
             // channel (while still being journaled and accounted), its
             // in-flight count to a throwaway counter.
@@ -1006,12 +918,13 @@ impl Inner {
             self.launch(
                 req,
                 kind,
+                handle,
                 tx,
                 Arc::new(AtomicU64::new(0)),
-                handles,
-                track,
-                resume,
-                Some(entry.id),
+                Some(Replayed {
+                    id: entry.id,
+                    checkpoint,
+                }),
             );
         }
         self.publish_backlog();
@@ -1054,14 +967,14 @@ impl Inner {
         let tenants = self.tenants.lock().expect("tenant table lock");
         let mut out = Vec::with_capacity(tenants.len());
         for (name, t) in tenants.iter() {
-            let snap = t.latency_us.snapshot();
+            let snap = t.handle.latency_us.snapshot();
             let q = |p: f64| snap.quantile(p).unwrap_or(0);
             out.push(TenantStats {
                 tenant: name.clone(),
-                accepted: t.accepted.get(),
-                shed: t.shed.get(),
-                completed: t.completed.get(),
-                in_flight: t.in_flight.load(Ordering::Acquire),
+                accepted: t.handle.accepted.get(),
+                shed: t.handle.shed.get(),
+                completed: t.handle.completed.get(),
+                in_flight: t.handle.in_flight.load(Ordering::Acquire),
                 latency_us: [q(0.50), q(0.95), q(0.99)],
             });
         }
@@ -1090,9 +1003,9 @@ impl Inner {
         let tenants = self.tenants.lock().expect("tenant table lock");
         let mut rows = Vec::with_capacity(tenants.len());
         for (name, t) in tenants.iter() {
-            let slo = t.slo.lock().expect("tenant slo lock").snapshot();
+            let slo = t.handle.slo.lock().expect("tenant slo lock").snapshot();
             let (instructions, preset) = {
-                let sig = t.signature.lock().expect("tenant signature lock");
+                let sig = t.handle.signature.lock().expect("tenant signature lock");
                 if sig.is_empty() {
                     (0, "-".to_owned())
                 } else {
@@ -1102,7 +1015,7 @@ impl Inner {
             rows.push(TenantTop {
                 tenant: name.clone(),
                 queued: queued.get(name).copied().unwrap_or(0),
-                in_flight: t.in_flight.load(Ordering::Acquire),
+                in_flight: t.handle.in_flight.load(Ordering::Acquire),
                 completed: slo.completed,
                 shed: slo.shed,
                 p50_us: slo.p50_us,
@@ -1156,17 +1069,19 @@ fn micros(d: Duration) -> u64 {
     d.as_micros().try_into().unwrap_or(u64::MAX)
 }
 
+/// A job recovered from the write-ahead log: the request id its records
+/// settle under, and its newest usable checkpoint `(out_addr, snap)`.
+struct Replayed {
+    id: u64,
+    checkpoint: Option<(u64, Vec<u8>)>,
+}
+
 /// What one execution slice produced.
 enum SliceStep {
-    /// The quantum expired; the serialized checkpoint resumes the run.
-    Paused(Vec<u8>),
+    /// The quantum expired; the resident system resumes next slice.
+    Paused,
     /// The kernel completed.
-    Finished {
-        cycles: u64,
-        instructions: u64,
-        words: Vec<u32>,
-        signature: Option<InstrSignature>,
-    },
+    Finished(RunOutcome),
 }
 
 /// Build the completed job's instruction-usage signature from whichever
@@ -1192,90 +1107,127 @@ fn build_signature(req: &SubmitRequest, kind: SystemKind, sys: &System) -> Optio
     ))
 }
 
-/// Run one quantum of an admitted submission on the calling engine
-/// worker. The first slice builds the system ([`build_system`]); a
-/// cycle-tier job pauses at each quantum boundary and later slices
-/// rebuild it from the carried checkpoint bytes, while a fast-tier job
-/// (no checkpointable state) completes in that first slice.
-/// Checkpoint/restore is bit-identical, so sliced served results match
-/// offline execution.
-#[allow(clippy::too_many_arguments)]
-fn run_slice(
-    req: &SubmitRequest,
+/// One served job's execution state, owned by its slice closure. The
+/// first slice builds the job's `System` ([`build_system`]) — or, for a
+/// job replayed with a checkpoint, restores it from the log — and every
+/// later slice resumes that same resident `System`.
+struct ServedJob {
+    inner: Arc<Inner>,
+    req: SubmitRequest,
     kind: SystemKind,
-    registry: &Registry,
-    watchdog: u64,
-    quantum: u64,
-    carried: Option<Vec<u8>>,
-    out_addr: &mut u64,
-    snap: &SnapMetrics,
-    job: u64,
-    profile: bool,
-    track: Option<&SpanTrack>,
-    snap_us: &mut u64,
-) -> Result<SliceStep, String> {
-    let map_err = |e: SystemError| match e {
-        SystemError::Cu(CuError::CycleLimit { .. }) => {
-            format!("watchdog: job exceeded its {watchdog}-cycle budget")
-        }
-        other => other.to_string(),
-    };
-    let mark = |kind: SpanKind| {
-        if let Some(t) = track {
-            t.mark(kind);
-        }
-    };
-    let exec = req.exec_mode().map_err(|e| e.to_string())?;
-    let mut sys;
-    let progress = match carried {
-        Some(bytes) => {
-            mark(SpanKind::Restore);
-            let resume_start = Instant::now();
-            let ck: SystemCheckpoint = scratch_snap::from_bytes(&bytes)
-                .map_err(|e| format!("checkpoint decode failed: {e}"))?;
-            sys = System::restore(&ck, Some(registry.clone())).map_err(map_err)?;
-            sys.set_job_id(job);
-            let restore_us = micros(resume_start.elapsed());
-            snap.resume_us.observe(restore_us);
-            *snap_us += restore_us;
-            mark(SpanKind::Run);
-            sys.resume_dispatch(quantum).map_err(map_err)?
-        }
-        None => {
-            mark(SpanKind::Run);
-            (sys, *out_addr) =
-                build_system(req, kind, exec, registry, watchdog, profile, job).map_err(map_err)?;
-            sys.dispatch_preemptible(req.grid, quantum)
-                .map_err(map_err)?
-        }
-    };
-    match progress {
-        DispatchProgress::Paused => {
-            mark(SpanKind::Capture);
-            let capture_start = Instant::now();
-            let ck = sys.checkpoint().map_err(map_err)?;
-            let bytes = scratch_snap::to_bytes(&ck);
-            *snap_us += micros(capture_start.elapsed());
-            snap.checkpoints.inc();
-            snap.checkpoint_bytes.add(bytes.len() as u64);
-            // Back on the shelf until the scheduler's next turn.
-            mark(SpanKind::Queue);
-            Ok(SliceStep::Paused(bytes))
-        }
-        DispatchProgress::Complete { .. } => {
-            let report = sys.report();
-            let words = sys.read_words(
-                *out_addr,
-                usize::try_from(req.out_bytes.max(4) / 4).unwrap_or(0),
-            );
-            let signature = profile.then(|| build_signature(req, kind, &sys)).flatten();
-            mark(SpanKind::Reply);
-            Ok(SliceStep::Finished {
-                cycles: report.cu_cycles,
-                instructions: report.instructions(),
-                words,
-                signature,
-            })
+    /// Id the WAL records settle under (`None` = the engine id).
+    wal_id: Option<u64>,
+    track: Option<Arc<SpanTrack>>,
+    /// The live system between quanta (`None` before the first slice).
+    sys: Option<System>,
+    /// A replayed job's recovered checkpoint, consumed by the first slice.
+    resume: Option<(u64, Vec<u8>)>,
+    /// Base address of the output buffer (kernel argument 0).
+    out_addr: u64,
+    /// Microseconds spent capturing journaled checkpoints and restoring
+    /// a replayed one.
+    snap_us: u64,
+}
+
+impl ServedJob {
+    /// Run one quantum on the calling engine worker. A cycle-tier job
+    /// pauses at each quantum boundary and stays resident; with a WAL the
+    /// pause also journals a checkpoint, so a restart resumes mid-kernel.
+    /// A fast-tier job (no checkpointable state) completes in its first
+    /// slice.
+    fn run_slice(&mut self, job: u64, slice: u64) -> Result<SliceStep, String> {
+        let config = &self.inner.config;
+        let watchdog = config.watchdog_cycles;
+        let quantum = config.quantum_cycles.max(1);
+        let map_err = |e: SystemError| match e {
+            SystemError::Cu(CuError::CycleLimit { .. }) => {
+                format!("watchdog: job exceeded its {watchdog}-cycle budget")
+            }
+            other => other.to_string(),
+        };
+        let track = self.track.as_deref();
+        let mark = |kind: SpanKind| {
+            if let Some(t) = track {
+                t.mark(kind);
+            }
+        };
+        let req = &self.req;
+        let registry = &self.inner.registry;
+        let (sys, progress) = match (self.sys.take(), self.resume.take()) {
+            (Some(mut sys), _) => {
+                mark(SpanKind::Run);
+                let progress = sys.resume_dispatch(quantum);
+                (sys, progress)
+            }
+            (None, Some((out_addr, bytes))) => {
+                mark(SpanKind::Restore);
+                let resume_start = Instant::now();
+                let ck: SystemCheckpoint = scratch_snap::from_bytes(&bytes)
+                    .map_err(|e| format!("checkpoint decode failed: {e}"))?;
+                let mut sys = System::restore(&ck, Some(registry.clone())).map_err(map_err)?;
+                sys.set_job_id(job);
+                self.out_addr = out_addr;
+                let restore_us = micros(resume_start.elapsed());
+                self.inner.snap.resume_us.observe(restore_us);
+                self.snap_us += restore_us;
+                mark(SpanKind::Run);
+                let progress = sys.resume_dispatch(quantum);
+                (sys, progress)
+            }
+            (None, None) => {
+                mark(SpanKind::Run);
+                let exec = req.exec_mode().map_err(|e| e.to_string())?;
+                let profile = config.profile;
+                let (mut sys, out_addr) =
+                    build_system(req, self.kind, exec, registry, watchdog, profile, job)
+                        .map_err(map_err)?;
+                self.out_addr = out_addr;
+                let progress = sys.dispatch_preemptible(req.grid, quantum);
+                (sys, progress)
+            }
+        };
+        match progress.map_err(map_err)? {
+            DispatchProgress::Paused => {
+                if let Some(plane) = &self.inner.wal {
+                    mark(SpanKind::Capture);
+                    let capture_start = Instant::now();
+                    let snap = scratch_snap::to_bytes(&sys.checkpoint().map_err(map_err)?);
+                    self.snap_us += micros(capture_start.elapsed());
+                    self.inner.snap.checkpoints.inc();
+                    self.inner.snap.checkpoint_bytes.add(snap.len() as u64);
+                    mark(SpanKind::Queue);
+                    plane.append(&Record::Checkpoint {
+                        id: self.wal_id.unwrap_or(job),
+                        out_addr: self.out_addr,
+                        snap,
+                    });
+                } else {
+                    mark(SpanKind::Queue);
+                }
+                // Resident until the scheduler's next turn.
+                self.sys = Some(sys);
+                Ok(SliceStep::Paused)
+            }
+            DispatchProgress::Complete { .. } => {
+                let report = sys.report();
+                let words = sys.read_words(
+                    self.out_addr,
+                    usize::try_from(req.out_bytes.max(4) / 4).unwrap_or(0),
+                );
+                let signature = config
+                    .profile
+                    .then(|| build_signature(req, self.kind, &sys))
+                    .flatten();
+                mark(SpanKind::Reply);
+                Ok(SliceStep::Finished(RunOutcome {
+                    cycles: report.cu_cycles,
+                    instructions: report.instructions(),
+                    words,
+                    snap_us: self.snap_us,
+                    slices: slice + 1,
+                    signature,
+                }))
+            }
         }
     }
 }
@@ -1510,7 +1462,7 @@ impl Server {
         tenants
             .iter()
             .filter_map(|(name, t)| {
-                let sig = t.signature.lock().expect("tenant signature lock");
+                let sig = t.handle.signature.lock().expect("tenant signature lock");
                 (!sig.is_empty()).then(|| (name.clone(), sig.clone()))
             })
             .collect()

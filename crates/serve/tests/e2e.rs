@@ -469,96 +469,117 @@ fn load_harness_produces_a_saturation_curve() {
     assert_eq!(stats.accepted, stats.completed, "drain left nothing behind");
 }
 
+/// Preempted jobs stay resident between quanta: with no WAL nothing is
+/// ever checkpointed, and with a WAL every pause is journaled — either
+/// way the served words and cycles equal an uninterrupted direct run.
 #[test]
 fn preempted_jobs_checkpoint_and_match_direct_runs() {
     // Pick a quantum well below the kernel's runtime so every served job
-    // is forced through multiple checkpoint/restore round-trips, then
-    // demand bit-identity with an uninterrupted direct run anyway.
+    // pauses several times, then demand bit-identity with an
+    // uninterrupted direct run anyway.
     let gk = workload(301, 4);
     let (ref_cycles, ref_words) = direct_run(&gk);
     let quantum = (ref_cycles / 4).max(1);
     assert!(ref_cycles > quantum, "workload outlives one quantum");
 
-    let registry = Registry::new();
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: 1,
-            quantum_cycles: quantum,
-            registry: Some(registry.clone()),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    for journaled in [false, true] {
+        let dir = wal_dir("preempted");
+        let registry = Registry::new();
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeConfig {
+                workers: 1,
+                quantum_cycles: quantum,
+                registry: Some(registry.clone()),
+                wal: journaled.then(|| scratch_wal::WalConfig::new(&dir)),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        let mut client = ServeClient::connect(server.addr()).expect("connect");
 
-    for tenant in ["alpha", "beta"] {
-        client
-            .submit(submit_of(&gk, tenant, "sliced", true))
-            .expect("protocol")
-            .expect("no load, nothing sheds");
-    }
-    for _ in 0..2 {
-        let d = client.recv_done().expect("sliced jobs complete");
-        assert!(d.ok, "sliced job failed: {:?}", d.error);
-        assert_eq!(
-            d.output.as_ref().expect("return_output"),
-            &ref_words,
-            "preempted served output differs from direct run"
+        for tenant in ["alpha", "beta"] {
+            client
+                .submit(submit_of(&gk, tenant, "sliced", true))
+                .expect("protocol")
+                .expect("no load, nothing sheds");
+        }
+        for _ in 0..2 {
+            let d = client.recv_done().expect("sliced jobs complete");
+            assert!(d.ok, "sliced job failed: {:?}", d.error);
+            assert_eq!(
+                d.output.as_ref().expect("return_output"),
+                &ref_words,
+                "preempted served output differs from direct run (wal: {journaled})"
+            );
+            assert_eq!(
+                d.cycles, ref_cycles,
+                "preemption changed the cycle count (wal: {journaled})"
+            );
+            assert!(d.slices > 1, "the quantum forces more than one slice");
+        }
+
+        let snap = registry.snapshot();
+        let count = |name: &str| snap.counter(name, &[]).unwrap_or(0);
+        let preemptions = count("scratch_preempt_preemptions_total");
+        assert!(preemptions > 0, "preemptions counted");
+        assert!(
+            count("scratch_preempt_quanta_total") > preemptions,
+            "scheduler quanta counted"
         );
-        assert_eq!(d.cycles, ref_cycles, "preemption changed the cycle count");
+        let checkpoints = count("scratch_snap_checkpoints_total");
+        if journaled {
+            // Every pause is journaled, and nothing is restored in-process.
+            assert_eq!(checkpoints, preemptions, "one checkpoint per pause");
+            assert!(
+                count("scratch_snap_checkpoint_bytes_total") > 0,
+                "checkpoint bytes accounted"
+            );
+        } else {
+            // The resident system is never captured.
+            assert_eq!(checkpoints, 0, "no WAL, no checkpoint");
+            assert_eq!(count("scratch_snap_checkpoint_bytes_total"), 0);
+        }
+        assert!(
+            snap.histogram("scratch_snap_resume_micros", &[])
+                .is_none_or(|h| h.count() == 0),
+            "live jobs never restore"
+        );
+
+        let stats = server.shutdown();
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.failed, 0);
+        if journaled {
+            let state = scratch_wal::WalState::read(&dir).expect("read");
+            assert_eq!(state.checkpoints.values().sum::<u64>(), checkpoints);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
+}
 
-    // The checkpoint plane actually ran: captures, bytes, and restores.
-    let snap = registry.snapshot();
-    let checkpoints = snap
-        .counter("scratch_snap_checkpoints_total", &[])
-        .unwrap_or(0);
-    assert!(checkpoints >= 2, "each job checkpoints at least once");
-    assert!(
-        snap.counter("scratch_snap_checkpoint_bytes_total", &[])
-            .unwrap_or(0)
-            > 0,
-        "checkpoint bytes accounted"
-    );
-    assert!(
-        snap.histogram("scratch_snap_resume_micros", &[])
-            .is_some_and(|h| h.count() > 0),
-        "resume latency observed"
-    );
-    assert!(
-        snap.counter("scratch_preempt_quanta_total", &[])
-            .unwrap_or(0)
-            > 0,
-        "scheduler quanta counted"
-    );
-    assert!(
-        snap.counter("scratch_preempt_preemptions_total", &[])
-            .unwrap_or(0)
-            > 0,
-        "preemptions counted"
-    );
-
-    let stats = server.shutdown();
-    assert_eq!(stats.completed, 2);
-    assert_eq!(stats.failed, 0);
+/// A kernel that branches to itself forever: only a cancellation (or the
+/// watchdog, billions of cycles away) ends it.
+fn spin_kernel() -> scratch_asm::Kernel {
+    let mut b = scratch_asm::KernelBuilder::new("spin");
+    b.vgprs(4).sgprs(24).workgroup_size(64);
+    let top = b.new_label();
+    b.bind(top).expect("fresh label");
+    b.branch(scratch_isa::Opcode::SBranch, top);
+    b.endpgm().expect("endpgm");
+    b.finish().expect("spin kernel assembles")
 }
 
 #[test]
 fn cancel_stops_midflight_job_without_blocking_drain() {
-    // A deliberately long kernel sliced into many short quanta: cancel it
+    // A never-ending kernel sliced into short quanta: cancel it
     // mid-flight, watch the Done arrive as `cancelled`, and prove the
     // worker (and a subsequent drain) never wedge on it.
-    let gk = workload(401, 16);
-    let (ref_cycles, _) = direct_run(&gk);
-    let quantum = (ref_cycles / 50).max(1);
-
     let registry = Registry::new();
     let server = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
             workers: 1,
-            quantum_cycles: quantum,
+            quantum_cycles: 1000,
             registry: Some(registry.clone()),
             ..ServeConfig::default()
         },
@@ -567,7 +588,17 @@ fn cancel_stops_midflight_job_without_blocking_drain() {
     let mut client = ServeClient::connect(server.addr()).expect("connect");
 
     let victim = client
-        .submit(submit_of(&gk, "acme", "victim", false))
+        .submit(SubmitRequest {
+            tenant: "acme".to_owned(),
+            label: "victim".to_owned(),
+            kernel: spin_kernel(),
+            input: Vec::new(),
+            grid: [1, 1, 1],
+            out_bytes: 4,
+            system: None,
+            return_output: false,
+            exec: None,
+        })
         .expect("protocol")
         .expect("admits");
     assert!(
@@ -940,6 +971,86 @@ fn wal_recovery_survives_a_garbage_checkpoint() {
     assert!(meta.ok, "fallback replay failed: {}", meta.error);
     assert_eq!(meta.digest, fnv1a(&words), "fallback is bit-identical");
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restart resumes a job from a real mid-kernel checkpoint — the
+/// bytes a paused serve job journals — and finishes it bit-identical to an
+/// uninterrupted direct run, restoring exactly once.
+#[test]
+fn wal_recovery_resumes_from_a_real_mid_kernel_checkpoint() {
+    use scratch_system::DispatchProgress;
+    use scratch_wal::{FsyncPolicy, Record, Wal, WalConfig};
+
+    let dir = wal_dir("real-checkpoint");
+    let gk = workload(330, 4);
+    let (ref_cycles, ref_words) = direct_run(&gk);
+    let quantum = (ref_cycles / 3).max(1);
+    assert!(ref_cycles > quantum, "workload outlives one quantum");
+
+    // Pause a direct run mid-kernel, as a serve job does at a quantum
+    // boundary, and capture its checkpoint.
+    let kernel = gk.build().expect("buildable");
+    let mut sys = System::new(SystemConfig::preset(SystemKind::DcdPm), &kernel).expect("system");
+    let out_addr = sys.alloc(gk.out_bytes().max(4));
+    let inp = sys.alloc_words(&gk.image);
+    sys.set_args(&[out_addr as u32, inp as u32]);
+    let progress = sys
+        .dispatch_preemptible([gk.wgs, 1, 1], quantum)
+        .expect("generated kernels run");
+    assert!(
+        matches!(progress, DispatchProgress::Paused),
+        "paused mid-kernel"
+    );
+    let snap = scratch_snap::to_bytes(&sys.checkpoint().expect("paused system checkpoints"));
+    {
+        let (mut wal, _) = Wal::open(WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::new(&dir)
+        })
+        .expect("fresh log");
+        wal.append(&Record::Admitted {
+            id: 9,
+            tenant: "alpha".to_owned(),
+            label: "resumable".to_owned(),
+            payload: serde_json::to_string(&submit_of(&gk, "alpha", "resumable", false))
+                .expect("serializable")
+                .into_bytes(),
+        })
+        .expect("append");
+        wal.append(&Record::Checkpoint {
+            id: 9,
+            out_addr,
+            snap,
+        })
+        .expect("append");
+    }
+
+    let registry = Registry::new();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            registry: Some(registry.clone()),
+            wal: Some(WalConfig::new(&dir)),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind with wal");
+    let report = server.recovery_report().expect("wal configured").clone();
+    assert_eq!(report.replayed, 1);
+    assert_eq!(report.resumed, 1, "the job resumes from its checkpoint");
+
+    let meta = await_completion(&dir, 9);
+    assert!(meta.ok, "resumed job failed: {}", meta.error);
+    assert_eq!(meta.digest, fnv1a(&ref_words), "resume is bit-identical");
+    assert_eq!(meta.cycles, ref_cycles, "resume keeps the cycle count");
+    server.shutdown();
+    let restores = registry
+        .snapshot()
+        .histogram("scratch_snap_resume_micros", &[])
+        .map_or(0, |h| h.count());
+    assert_eq!(restores, 1, "exactly one restore: the replayed first slice");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,10 +1,12 @@
 //! Serde round-trips of every protocol message — both directions of the
-//! wire format, via the exact `serde_json` path the server and client use.
+//! wire format, via the exact `serde_json` path the server and client use
+//! — plus the decoder's cost on long strings and the admission limit on
+//! name lengths.
 
 use scratch_asm::KernelBuilder;
 use scratch_serve::{
-    JobDone, RejectReason, Rejection, Request, Response, StatsReply, SubmitRequest, TenantStats,
-    TenantTop, TopReply,
+    JobDone, RejectReason, Rejection, Request, Response, ServeClient, ServeConfig, Server,
+    StatsReply, SubmitRequest, TenantStats, TenantTop, TopReply, MAX_NAME_BYTES,
 };
 
 fn tiny_kernel() -> scratch_asm::Kernel {
@@ -186,4 +188,82 @@ fn unknown_system_preset_is_invalid() {
         ..sample_submit()
     };
     assert!(s.system_kind().is_err());
+}
+
+/// String decoding is linear: a `Submit` line with a 1 MiB label (mixed
+/// one- and multi-byte scalars, with escapes) parses well within a
+/// second, where re-validating the rest of the input per character takes
+/// tens of seconds.
+#[test]
+fn megabyte_label_decodes_in_linear_time() {
+    let mut label = String::with_capacity(1 << 20);
+    while label.len() < 1 << 20 {
+        label.push_str("abcdefgh-ü✓\"\\\n");
+    }
+    let line = serde_json::to_string(&Request::Submit(SubmitRequest {
+        label: label.clone(),
+        ..sample_submit()
+    }))
+    .expect("serialize");
+    let start = std::time::Instant::now();
+    let back: Request = serde_json::from_str(&line).expect("deserialize");
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "1 MiB label took {took:?} to decode"
+    );
+    let Request::Submit(submit) = back else {
+        panic!("decoded a different request variant");
+    };
+    assert_eq!(submit.label, label, "label survives the round trip");
+}
+
+/// A live server sheds an over-long tenant or label with the typed
+/// `TooLarge` rejection before it touches the tenant table, and still
+/// admits a name of exactly the limit.
+#[test]
+fn over_long_tenant_and_label_are_shed_too_large() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            registry: Some(scratch_metrics::Registry::new()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    let long = "t".repeat(MAX_NAME_BYTES + 1);
+    for req in [
+        SubmitRequest {
+            tenant: long.clone(),
+            ..sample_submit()
+        },
+        SubmitRequest {
+            label: long.clone(),
+            ..sample_submit()
+        },
+    ] {
+        let rejection = client
+            .submit(req)
+            .expect("protocol")
+            .expect_err("over-long name is shed");
+        assert_eq!(rejection.reason, RejectReason::TooLarge);
+        assert!(rejection.tenant.len() <= MAX_NAME_BYTES, "not echoed back");
+    }
+    assert!(server.stats().tenants.is_empty(), "no tenant entry created");
+
+    let at_limit = "t".repeat(MAX_NAME_BYTES);
+    let job = client
+        .submit(SubmitRequest {
+            tenant: at_limit.clone(),
+            label: at_limit,
+            ..sample_submit()
+        })
+        .expect("protocol")
+        .expect("a name at the limit is admitted");
+    let done = client.recv_done().expect("job completes");
+    assert_eq!(done.job, job);
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 1);
 }

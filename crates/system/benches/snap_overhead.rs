@@ -1,8 +1,9 @@
 //! Checkpoint-path overhead: what preemption and serialisation cost on
 //! top of an uninterrupted dispatch. Four questions, one group each —
-//! how much slower is a sliced dispatch (no serialisation), how much
-//! slower is the full serve-style path (checkpoint → encode → decode →
-//! restore between every quantum), and what do a single capture, encode,
+//! how much slower is a sliced dispatch (no serialisation — a served job
+//! with no WAL), how much slower is a checkpoint → encode → decode →
+//! restore between every quantum (each quantum paying serve's replay
+//! path), and what do a single capture, encode,
 //! and decode+restore cost in isolation. The snapshot size is printed so
 //! the byte cost is on the record next to the latencies.
 
@@ -127,6 +128,8 @@ fn snap_overhead(c: &mut Criterion) {
     });
 
     // Sliced in-process: pause/resume every quantum, no serialisation.
+    // This is how a served job runs without a WAL: its paused `System`
+    // stays resident between quanta.
     group.bench_function("dispatch_preempted", |b| {
         b.iter(|| {
             let mut sys = ready_system(&kernel);
@@ -139,8 +142,10 @@ fn snap_overhead(c: &mut Criterion) {
         });
     });
 
-    // The full serve-style path: checkpoint → binary encode → decode →
-    // restore into a fresh system at every quantum boundary.
+    // Checkpoint → binary encode → decode → restore into a fresh system
+    // at every quantum boundary: an upper bound on the replay path, which
+    // serve pays once per job (restoring a replayed job from its newest
+    // journaled checkpoint), not once per quantum.
     group.bench_function("dispatch_preempted_serde", |b| {
         b.iter(|| {
             let mut sys = ready_system(&kernel);

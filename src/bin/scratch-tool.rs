@@ -1083,7 +1083,7 @@ fn real_main() -> Result<(), String> {
                     .unwrap_or(defaults.addr),
                 wal_dir,
                 quantum: flag_u64(&args, "--quantum", defaults.quantum)?.max(1),
-                uptime_ms: defaults.uptime_ms,
+                kill_after_acks: defaults.kill_after_acks,
                 mid_append_every: u32::try_from(flag_u64(
                     &args,
                     "--mid-append-every",
